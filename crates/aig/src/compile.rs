@@ -23,14 +23,14 @@
 //!   where only POs and latch next-states matter.
 //!
 //! Ops are **levelized**: sorted by logic level with recorded level
-//! boundaries, so each level is an embarrassingly parallel strip —
-//! [`SimProgram::run_strided_par`] splits every strip across scoped worker
-//! threads writing disjoint rows (the same discipline as
-//! [`crate::sim::random_columns_par`]'s disjoint-column writes), and the
-//! result is bit-identical for any thread count.
-// The only unsafe code in this crate lives here (the parallel level-strip executor);
-// the crate root denies it everywhere else, and every block
-// carries a `// SAFETY:` comment (clippy-enforced).
+//! boundaries ([`SimProgram::num_levels`]). Parallelism lives one layer
+//! up: [`crate::sim::random_columns_prog`] runs whole programs on disjoint
+//! column blocks from parallel workers through the raw-pointer executor
+//! below.
+// Unsafe code in this crate lives here (the raw-pointer op executor) and in
+// `crate::sim` (the parallel column-scatter writers); the crate root denies
+// it everywhere else, and every block carries a `// SAFETY:` comment
+// (clippy-enforced).
 #![allow(unsafe_code)]
 
 use crate::aig::Aig;
@@ -143,19 +143,8 @@ struct Frame {
     nb: usize,
 }
 
-/// Shares the destination buffer with level-strip workers. Writes are
-/// disjoint by construction (each op owns its `dst` row and strips never
-/// split an op), so the raw pointer is never written concurrently by two
-/// workers.
-struct FrameCursor(Frame);
-// SAFETY: the wrapped pointer is only dereferenced through `run_ops`,
-// whose callers hand each worker a disjoint op range writing disjoint
-// `dst` rows (see the doc comment above); no two threads ever write the
-// same word and the buffer outlives the scoped threads.
-unsafe impl Sync for FrameCursor {}
-
 /// A compiled simulation program: flat fused-op bytecode over a dense or
-/// strided word matrix, levelized for parallel strip execution.
+/// strided word matrix, levelized (ops stored level-major).
 ///
 /// ```
 /// use aig::{Aig, compile::SimProgram, sim::SimVectors};
@@ -222,7 +211,7 @@ impl SimProgram {
         self.ops.len()
     }
 
-    /// Logic levels (parallel strips) in the program.
+    /// Logic levels in the program.
     pub fn num_levels(&self) -> usize {
         self.levels.len()
     }
@@ -250,77 +239,19 @@ impl SimProgram {
     /// Panics if the matrix has the wrong row count, the column range is
     /// out of bounds, or `pi_block` has the wrong length.
     pub fn run_strided(&self, sigs: &mut SimVectors, w0: usize, nb: usize, pi_block: &[u64]) {
-        self.check_run(sigs, w0, nb, pi_block);
+        assert_eq!(pi_block.len(), self.n_pis * nb, "nb words per PI required");
+        assert!(w0 + nb <= sigs.n_words(), "column range out of bounds");
+        assert_eq!(sigs.n_rows(), self.n_slots, "one row per program slot");
         let frame = Frame {
             stride: sigs.n_words(),
             base: sigs.words_mut().as_mut_ptr(),
             w0,
             nb,
         };
-        // SAFETY: `check_run` validated the matrix shape against
+        // SAFETY: the asserts above validated the matrix shape against
         // `n_slots`/stride, and compilation validated every op's slots;
         // see `run_ops` for the offset bound argument.
-        unsafe { self.run_ops(0, self.ops.len(), frame, pi_block) }
-    }
-
-    /// [`SimProgram::run_strided`] with each logic level split across up
-    /// to `threads` scoped worker threads (one barrier per level).
-    ///
-    /// Within a level no op depends on another, and every op writes its
-    /// own row, so the strips write disjoint memory and read only rows
-    /// completed before the previous barrier — the result is bit-identical
-    /// to the sequential run for every thread count.
-    ///
-    /// # Panics
-    /// Same contract as [`SimProgram::run_strided`].
-    pub fn run_strided_par(
-        &self,
-        sigs: &mut SimVectors,
-        w0: usize,
-        nb: usize,
-        pi_block: &[u64],
-        threads: usize,
-    ) {
-        // A strip is worth a barrier only when levels are wide; tiny
-        // programs (or a single worker) run inline.
-        let workers = threads.min(self.ops.len() / 64).max(1);
-        if workers <= 1 {
-            self.run_strided(sigs, w0, nb, pi_block);
-            return;
-        }
-        self.check_run(sigs, w0, nb, pi_block);
-        let cursor = FrameCursor(Frame {
-            stride: sigs.n_words(),
-            base: sigs.words_mut().as_mut_ptr(),
-            w0,
-            nb,
-        });
-        let barrier = std::sync::Barrier::new(workers);
-        std::thread::scope(|scope| {
-            for t in 0..workers {
-                let cursor = &cursor;
-                let barrier = &barrier;
-                scope.spawn(move || {
-                    for &(s, e) in &self.levels {
-                        let (s, e) = (s as usize, e as usize);
-                        // Contiguous chunk of this level's strip; chunk
-                        // boundaries depend only on (level width, workers),
-                        // never on scheduling.
-                        let chunk = (e - s).div_ceil(workers);
-                        let cs = (s + t * chunk).min(e);
-                        let ce = (cs + chunk).min(e);
-                        if cs < ce {
-                            // SAFETY: shape checked above; ops in a level
-                            // have pairwise distinct `dst` rows (disjoint
-                            // writes) and read only strictly-lower-level
-                            // rows, all written before the last barrier.
-                            unsafe { self.run_ops(cs, ce, cursor.0, pi_block) };
-                        }
-                        barrier.wait();
-                    }
-                });
-            }
-        });
+        unsafe { self.run_ops(frame, pi_block) }
     }
 
     /// Runs the program into a dense slot-major buffer (`nb` words per
@@ -341,7 +272,7 @@ impl SimProgram {
         };
         // SAFETY: the buffer is exactly `n_slots * nb` words and every
         // op's slots were validated at compile time.
-        unsafe { self.run_ops(0, self.ops.len(), frame, pi_block) }
+        unsafe { self.run_ops(frame, pi_block) }
     }
 
     /// Runs all ops against a raw strided buffer: `base` points at a
@@ -365,8 +296,6 @@ impl SimProgram {
         debug_assert!(w0 + nb <= stride);
         debug_assert_eq!(pi_block.len(), self.n_pis * nb);
         self.run_ops(
-            0,
-            self.ops.len(),
             Frame {
                 base,
                 stride,
@@ -377,28 +306,21 @@ impl SimProgram {
         )
     }
 
-    /// Shared entry validation for the strided runners.
-    fn check_run(&self, sigs: &SimVectors, w0: usize, nb: usize, pi_block: &[u64]) {
-        assert_eq!(pi_block.len(), self.n_pis * nb, "nb words per PI required");
-        assert!(w0 + nb <= sigs.n_words(), "column range out of bounds");
-        assert_eq!(sigs.n_rows(), self.n_slots, "one row per program slot");
-    }
-
-    /// Executes ops `s .. e` against a frame.
+    /// Executes every op against a frame.
     ///
     /// # Safety
     /// `frame.base` must point at a buffer of at least
     /// `n_slots * frame.stride` words with `frame.w0 + frame.nb <=
     /// frame.stride`, `pi_block` must hold `n_pis * frame.nb` words, and
-    /// no other thread may concurrently write any row an op in `s .. e`
-    /// reads or writes. Compilation guarantees every op's `dst < n_slots`
+    /// no other thread may concurrently access columns `frame.w0 ..
+    /// frame.w0 + frame.nb` of any row. Compilation guarantees every op's `dst < n_slots`
     /// and every operand slot `< dst` (topological emission), so all
     /// touched offsets `slot * stride + w0 + j` (`j < nb`) are in bounds
     /// and no op's destination aliases its operands.
-    unsafe fn run_ops(&self, s: usize, e: usize, f: Frame, pi_block: &[u64]) {
+    unsafe fn run_ops(&self, f: Frame, pi_block: &[u64]) {
         let nb = f.nb;
         let at = |slot: u32| slot as usize * f.stride + f.w0;
-        for op in &self.ops[s..e] {
+        for op in &self.ops {
             match *op {
                 Op::And { dst, a, b } => {
                     let d = f.base.add(at(dst));
@@ -971,8 +893,8 @@ mod tests {
     }
 
     #[test]
-    fn parallel_strips_are_bit_identical() {
-        // Wide ragged graph: enough ops per level to engage real strips.
+    fn column_blocks_match_one_wide_run() {
+        // Wide ragged graph: many ops per level.
         let mut g = Aig::new();
         let pis = g.add_pis(16);
         let mut layer = pis.clone();
@@ -993,13 +915,15 @@ mod tests {
         g.add_po(layer[0]);
         let prog = SimProgram::full(&g);
         let pi_block: Vec<u64> = (0..16 * 4).map(|i| 0x9E37_79B9u64 * (i + 1)).collect();
-        let mut seq = SimVectors::zero(g.num_nodes(), 4);
-        prog.run_strided(&mut seq, 0, 4, &pi_block);
-        for threads in [2, 3, 8] {
-            let mut par = SimVectors::zero(g.num_nodes(), 4);
-            prog.run_strided_par(&mut par, 0, 4, &pi_block, threads);
-            assert_eq!(par, seq, "threads={threads}");
+        let mut wide = SimVectors::zero(g.num_nodes(), 4);
+        prog.run_strided(&mut wide, 0, 4, &pi_block);
+        // The same columns written one block at a time, in any order.
+        let mut blocks = SimVectors::zero(g.num_nodes(), 4);
+        for w in [2, 0, 3, 1] {
+            let col: Vec<u64> = (0..16).map(|i| pi_block[i * 4 + w]).collect();
+            prog.run_strided(&mut blocks, w, 1, &col);
         }
+        assert_eq!(blocks, wide);
     }
 
     #[test]

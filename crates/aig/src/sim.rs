@@ -9,9 +9,10 @@
 //! `n_words` words per row (row-major, stride `n_words`), one row per AIG
 //! node. Simulation writes straight into the matrix column by column, so
 //! neither the producer nor any consumer allocates per-node rows.
-// The only unsafe code in this crate lives here (the parallel column-scatter writers);
-// the crate root denies it everywhere else, and every block
-// carries a `// SAFETY:` comment (clippy-enforced).
+// Unsafe code in this crate lives here (the parallel column-scatter writers)
+// and in `crate::compile` (the raw-pointer op executor); the crate root
+// denies it everywhere else, and every block carries a `// SAFETY:` comment
+// (clippy-enforced).
 #![allow(unsafe_code)]
 
 use crate::aig::Aig;

@@ -56,6 +56,24 @@ fn word_mask(nvars: usize) -> u64 {
     }
 }
 
+/// True if the single-word table `w` depends on variable `i < 6`.
+#[inline]
+fn word_has_var(w: u64, i: usize) -> bool {
+    (w ^ (w >> (1 << i))) & !VAR_MASKS[i] != 0
+}
+
+/// Repeats the low `2^nvars` bits of `w` across the whole word, so a table
+/// over `nvars <= 6` variables reads as one over six that ignores the rest
+/// (and all-ones means constant true).
+fn replicate(mut w: u64, nvars: usize) -> u64 {
+    let mut bits = 1usize << nvars;
+    while bits < 64 {
+        w |= w << bits;
+        bits <<= 1;
+    }
+    w
+}
+
 impl Tt {
     /// Maximum supported variable count (table size 2^20 bits = 128 KiB).
     pub const MAX_VARS: usize = 20;
@@ -256,8 +274,19 @@ impl Tt {
     }
 
     /// True if the function depends on variable `i`.
+    ///
+    /// Compares the two cofactor halves in place: shifted bit fields within
+    /// each word for `i < 6`, word blocks for `i >= 6`.
     pub fn has_var(&self, i: usize) -> bool {
-        self.cofactor0(i) != self.cofactor1(i)
+        assert!(i < self.nvars);
+        if i < 6 {
+            self.words.iter().any(|&w| word_has_var(w, i))
+        } else {
+            let stride = 1 << (i - 6);
+            self.words
+                .chunks_exact(2 * stride)
+                .any(|block| block[..stride] != block[stride..])
+        }
     }
 
     /// The set of variables the function depends on.
@@ -338,16 +367,7 @@ impl Tt {
         }
         let mut t = Tt::zero(nvars);
         if self.nvars <= 6 {
-            // Replicate the (padded) single word.
-            let mut w = self.words[0];
-            let mut bits = 1usize << self.nvars;
-            while bits < 64 {
-                w |= w << bits;
-                bits <<= 1;
-            }
-            for out in &mut t.words {
-                *out = w;
-            }
+            t.words.fill(replicate(self.words[0], self.nvars));
         } else {
             let chunk = self.words.len();
             for (wi, out) in t.words.iter_mut().enumerate() {
@@ -521,10 +541,28 @@ impl Tt {
     /// The returned cubes satisfy `OR(cubes) == self` exactly (verified in
     /// tests); the cover is irredundant in the ISOP sense (each cube contains
     /// a minterm covered by no other cube).
+    ///
+    /// The cube order is part of the contract: `lut2cnf` emits clauses and
+    /// `refactor` builds structures in this order, so it must not change.
     pub fn isop(&self) -> Vec<Cube> {
         let mut cover = Vec::new();
-        let f = isop_rec(self, self, self.nvars, &mut cover);
-        debug_assert_eq!(&f, self, "ISOP cover must equal the function");
+        if self.nvars <= 6 {
+            let w = replicate(self.words[0], self.nvars);
+            let f = isop_word(w, w, self.nvars, &mut cover);
+            debug_assert_eq!(f, w, "ISOP cover must equal the function");
+        } else {
+            let n = self.words.len();
+            // The covered function, then three half-size buffers per level
+            // below it: 3 * (n/2 + n/4 + .. + 1) < 3n words.
+            let mut buf = vec![0u64; 4 * n];
+            let (covered, scratch) = buf.split_at_mut(n);
+            isop_words(&self.words, &self.words, covered, scratch, &mut cover);
+            debug_assert_eq!(
+                covered,
+                &self.words[..],
+                "ISOP cover must equal the function"
+            );
+        }
         cover
     }
 
@@ -543,49 +581,125 @@ impl Tt {
     }
 }
 
-/// Computes an ISOP cover of some `f` with `lower <= f <= upper`, appending
-/// cubes to `cover` and returning the function actually covered.
-fn isop_rec(lower: &Tt, upper: &Tt, top: usize, cover: &mut Vec<Cube>) -> Tt {
-    debug_assert_eq!(lower.nvars(), upper.nvars());
-    if lower.is_zero() {
-        return Tt::zero(lower.nvars());
+/// Adds literal `var` with polarity `positive` to every cube of `cubes`.
+fn add_lit(cubes: &mut [Cube], var: usize, positive: bool) {
+    for c in cubes {
+        *c = c.with_lit(var, positive);
     }
-    if upper.is_one() {
+}
+
+/// Minato–Morreale on one word: appends an ISOP cover of some `f` with
+/// `lower <= f <= upper` to `cover` and returns `f`. Both bounds are
+/// replicated six-variable tables that ignore variables `top..6`.
+///
+/// Finds the topmost variable `v` either bound depends on, then covers the
+/// minterms that need `!v`, those that need `v`, and the rest, in that
+/// order.
+fn isop_word(lower: u64, upper: u64, top: usize, cover: &mut Vec<Cube>) -> u64 {
+    if lower == 0 {
+        return 0;
+    }
+    if upper == u64::MAX {
         cover.push(Cube::TAUTOLOGY);
-        return Tt::one(lower.nvars());
+        return u64::MAX;
     }
-    // Find the topmost variable either bound depends on.
     let mut v = top;
     loop {
         debug_assert!(v > 0, "non-constant function must have support");
         v -= 1;
-        if lower.has_var(v) || upper.has_var(v) {
+        if word_has_var(lower, v) || word_has_var(upper, v) {
             break;
         }
     }
-    let l0 = lower.cofactor0(v);
-    let l1 = lower.cofactor1(v);
-    let u0 = upper.cofactor0(v);
-    let u1 = upper.cofactor1(v);
+    let shift = 1 << v;
+    let hi = VAR_MASKS[v];
+    let cof0 = |w: u64| (w & !hi) | (w & !hi) << shift;
+    let cof1 = |w: u64| (w & hi) | (w & hi) >> shift;
+    let (l0, l1, u0, u1) = (cof0(lower), cof1(lower), cof0(upper), cof1(upper));
 
-    // Cubes that must contain literal !v.
     let start0 = cover.len();
-    let f0 = isop_rec(&(&l0 & &!&u1), &u0, v, cover);
-    for c in &mut cover[start0..] {
-        *c = c.with_lit(v, false);
-    }
-    // Cubes that must contain literal v.
+    let f0 = isop_word(l0 & !u1, u0, v, cover);
+    add_lit(&mut cover[start0..], v, false);
     let start1 = cover.len();
-    let f1 = isop_rec(&(&l1 & &!&u0), &u1, v, cover);
-    for c in &mut cover[start1..] {
-        *c = c.with_lit(v, true);
-    }
-    // Remaining minterms are covered without mentioning v.
-    let lnew = (&(&l0 & &!&f0) | &(&l1 & &!&f1)).clone();
-    let f2 = isop_rec(&lnew, &(&u0 & &u1), v, cover);
+    let f1 = isop_word(l1 & !u0, u1, v, cover);
+    add_lit(&mut cover[start1..], v, true);
+    let f2 = isop_word((l0 & !f0) | (l1 & !f1), u0 & u1, v, cover);
+    (f0 & !hi) | (f1 & hi) | f2
+}
 
-    let tv = Tt::var(lower.nvars(), v);
-    (&(&f0 & &!&tv) | &(&f1 & &tv)) | f2
+/// [`isop_word`] on a table of `n = lower.len()` words (a power of two),
+/// whose top variable is `5 + log2(n)`. Writes the covered function to
+/// `out` (`n` words); `scratch` must hold at least `3n` words.
+///
+/// A variable `v >= 6` splits the slice into its two cofactor halves. When
+/// neither bound depends on it, both halves are equal and the recursion
+/// narrows to the lower one; once one word remains, [`isop_word`] takes
+/// over. No call allocates.
+fn isop_words(
+    lower: &[u64],
+    upper: &[u64],
+    out: &mut [u64],
+    scratch: &mut [u64],
+    cover: &mut Vec<Cube>,
+) {
+    if lower.iter().all(|&w| w == 0) {
+        out.fill(0);
+        return;
+    }
+    if upper.iter().all(|&w| w == u64::MAX) {
+        cover.push(Cube::TAUTOLOGY);
+        out.fill(u64::MAX);
+        return;
+    }
+    let mut n = lower.len();
+    while n > 1 {
+        let h = n / 2;
+        if lower[..h] != lower[h..n] || upper[..h] != upper[h..n] {
+            break;
+        }
+        n = h;
+    }
+    if n == 1 {
+        out.fill(isop_word(lower[0], upper[0], 6, cover));
+        return;
+    }
+    let h = n / 2;
+    let v = 6 + h.trailing_zeros() as usize;
+    let (l0, l1) = lower[..n].split_at(h);
+    let (u0, u1) = upper[..n].split_at(h);
+    let (f0, f1) = out[..n].split_at_mut(h);
+    let (lo, rest) = scratch.split_at_mut(h);
+    let (up, rest) = rest.split_at_mut(h);
+    let (f2, rest) = rest.split_at_mut(h);
+
+    for k in 0..h {
+        lo[k] = l0[k] & !u1[k];
+    }
+    let start0 = cover.len();
+    isop_words(lo, u0, f0, rest, cover);
+    add_lit(&mut cover[start0..], v, false);
+
+    for k in 0..h {
+        lo[k] = l1[k] & !u0[k];
+    }
+    let start1 = cover.len();
+    isop_words(lo, u1, f1, rest, cover);
+    add_lit(&mut cover[start1..], v, true);
+
+    for k in 0..h {
+        lo[k] = (l0[k] & !f0[k]) | (l1[k] & !f1[k]);
+        up[k] = u0[k] & u1[k];
+    }
+    isop_words(lo, up, f2, rest, cover);
+    for k in 0..h {
+        f0[k] |= f2[k];
+        f1[k] |= f2[k];
+    }
+    // Variables above `v` were skipped: the result ignores them too.
+    while n < out.len() {
+        out.copy_within(..n, n);
+        n *= 2;
+    }
 }
 
 #[cfg(test)]
@@ -666,6 +780,122 @@ mod tests {
         let (s, kept) = f.shrink_to_support();
         assert_eq!(kept, vec![1, 4]);
         assert_eq!(s, Tt::from_u64(2, 0x6));
+    }
+
+    /// The allocating Minato–Morreale recursion that [`isop_word`] and
+    /// [`isop_words`] replaced: the reference for their cube order.
+    fn isop_reference(f: &Tt) -> Vec<Cube> {
+        let mut cover = Vec::new();
+        let g = isop_rec(f, f, f.nvars(), &mut cover);
+        assert_eq!(&g, f, "reference cover must equal the function");
+        cover
+    }
+
+    fn isop_rec(lower: &Tt, upper: &Tt, top: usize, cover: &mut Vec<Cube>) -> Tt {
+        if lower.is_zero() {
+            return Tt::zero(lower.nvars());
+        }
+        if upper.is_one() {
+            cover.push(Cube::TAUTOLOGY);
+            return Tt::one(lower.nvars());
+        }
+        let mut v = top;
+        loop {
+            v -= 1;
+            let differs = |t: &Tt| t.cofactor0(v) != t.cofactor1(v);
+            if differs(lower) || differs(upper) {
+                break;
+            }
+        }
+        let l0 = lower.cofactor0(v);
+        let l1 = lower.cofactor1(v);
+        let u0 = upper.cofactor0(v);
+        let u1 = upper.cofactor1(v);
+        let start0 = cover.len();
+        let f0 = isop_rec(&(&l0 & &!&u1), &u0, v, cover);
+        add_lit(&mut cover[start0..], v, false);
+        let start1 = cover.len();
+        let f1 = isop_rec(&(&l1 & &!&u0), &u1, v, cover);
+        add_lit(&mut cover[start1..], v, true);
+        let lnew = &(&l0 & &!&f0) | &(&l1 & &!&f1);
+        let f2 = isop_rec(&lnew, &(&u0 & &u1), v, cover);
+        let tv = Tt::var(lower.nvars(), v);
+        (&(&f0 & &!&tv) | &(&f1 & &tv)) | f2
+    }
+
+    fn random_tt(rng: &mut rand::rngs::StdRng, n: usize) -> Tt {
+        use rand::Rng;
+        Tt::from_words(n, (0..n_words(n)).map(|_| rng.gen::<u64>()).collect())
+    }
+
+    fn assert_isop_matches_reference(f: &Tt) {
+        for g in [f.clone(), !f] {
+            assert_eq!(g.isop(), isop_reference(&g), "{g:?}");
+        }
+    }
+
+    #[test]
+    fn isop_order_matches_reference_exhaustive() {
+        for n in 0..=4usize {
+            for bits in 0..1u64 << (1 << n) {
+                assert_isop_matches_reference(&Tt::from_u64(n, bits));
+            }
+        }
+    }
+
+    #[test]
+    fn isop_order_matches_reference_random() {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(0x1509);
+        for n in 0..=12usize {
+            for _ in 0..12 {
+                // Dense random tables.
+                assert_isop_matches_reference(&random_tt(&mut rng, n));
+                // Sparse ones (few minterms, so small cubes and deep
+                // recursion) and tables that ignore their top variables.
+                let a = random_tt(&mut rng, n);
+                let b = random_tt(&mut rng, n);
+                assert_isop_matches_reference(&(&a & &b));
+                let k = rng.gen_range(0..=n);
+                assert_isop_matches_reference(&random_tt(&mut rng, k).extend_to(n));
+                // A random subset of variables removed anywhere in the table.
+                let mut g = random_tt(&mut rng, n);
+                for i in 0..n {
+                    if rng.gen_bool(0.4) {
+                        g = g.cofactor1(i);
+                    }
+                }
+                assert_isop_matches_reference(&g);
+            }
+        }
+    }
+
+    #[test]
+    fn has_var_matches_cofactors() {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(0xDE9);
+        let check = |t: &Tt| {
+            for i in 0..t.nvars() {
+                assert_eq!(t.has_var(i), t.cofactor0(i) != t.cofactor1(i), "{t:?} x{i}");
+            }
+        };
+        for n in 1..=11usize {
+            for _ in 0..16 {
+                let f = random_tt(&mut rng, n);
+                check(&f);
+                check(&!&f);
+                for i in 0..n {
+                    // Independent of x_i, then dependent on it at a single
+                    // minterm anywhere in the table.
+                    let mut g = f.cofactor0(i);
+                    check(&g);
+                    let m = rng.gen_range(0..1usize << n);
+                    g.set_bit(m, !g.bit(m));
+                    assert!(g.has_var(i), "n={n} x{i} m={m}");
+                    check(&g);
+                }
+            }
+        }
     }
 
     #[test]

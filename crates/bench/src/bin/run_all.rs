@@ -5,7 +5,9 @@
 //! CSAT_SCALE=standard cargo run --release -p bench --bin run_all
 //! ```
 
-use bench::experiments::{fig4, fig5, render_arms, render_table1, table1, trained_agent, Scale};
+use bench::experiments::{
+    exit_on_wrong, fig4, fig5, render_arms, render_table1, table1, trained_agent, Scale,
+};
 
 fn main() {
     let scale = Scale::from_env(Scale::standard());
@@ -13,7 +15,9 @@ fn main() {
     println!("scale: {scale:?}\n");
 
     println!("==================== Table I ====================");
-    print!("{}", render_table1(&table1(&scale)));
+    let t1 = table1(&scale);
+    print!("{}", render_table1(&t1.rows));
+    let mut records = t1.records;
 
     println!("\ntraining RL agent ({} episodes)...", scale.episodes);
     let agent = trained_agent(&scale);
@@ -22,6 +26,7 @@ fn main() {
         println!("\n==================== Fig. {fig} ({solver}-like) ====================");
         let arms = fig4(&scale, solver, Some(agent.clone()));
         print!("{}", render_arms(&arms, scale.penalty_secs));
+        records.extend(arms.iter().flat_map(|a| a.records.iter().cloned()));
         let base = arms[0].total_secs(scale.penalty_secs);
         let comp = arms[1].total_secs(scale.penalty_secs);
         let ours = arms[2].total_secs(scale.penalty_secs);
@@ -35,6 +40,7 @@ fn main() {
     println!("\n==================== Fig. 5 (ablation) ====================");
     let arms = fig5(&scale, Some(agent));
     print!("{}", render_arms(&arms, scale.penalty_secs));
+    records.extend(arms.iter().flat_map(|a| a.records.iter().cloned()));
     let ours = arms[0].total_secs(scale.penalty_secs);
     println!(
         "w/o RL: {:+.1}%   C. Mapper: {:+.1}% (relative to Ours)",
@@ -43,4 +49,5 @@ fn main() {
     );
 
     println!("\ntotal harness time: {:.1?}", t0.elapsed());
+    exit_on_wrong(&records);
 }

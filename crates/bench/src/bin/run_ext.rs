@@ -8,6 +8,7 @@
 //! ```
 
 use bench::experiments::{solver_preset, test_split, Scale};
+use csat_preproc::report::{classify, Status};
 use csat_preproc::{BaselinePipeline, FrameworkPipeline, Pipeline};
 use rl::RecipePolicy;
 use sat::presolve::{solve_cnf_presolved, PresolveConfig};
@@ -34,6 +35,7 @@ fn main() {
         ),
     ];
 
+    let mut wrong = 0;
     for (set_name, instances) in [
         ("hard test split (Fig. 4/5 instances)", test_split(&scale)),
         (
@@ -51,8 +53,14 @@ fn main() {
     ] {
         println!("==================== {set_name} ====================");
         println!(
-            "{:<12} {:>7} {:>14} {:>12} | {:>14} {:>12}",
-            "pipeline", "solved", "total time (s)", "decisions", "+presolve t(s)", "decisions"
+            "{:<12} {:>7} {:>6} {:>14} {:>12} | {:>14} {:>12}",
+            "pipeline",
+            "solved",
+            "wrong",
+            "total time (s)",
+            "decisions",
+            "+presolve t(s)",
+            "decisions"
         );
         for (name, p) in &arms {
             let mut report = ArmReport::default();
@@ -60,22 +68,30 @@ fn main() {
                 measure(p.as_ref(), inst, &solver, &budget, &mut report);
             }
             println!(
-                "{:<12} {:>7} {:>14.2} {:>12} | {:>14.2} {:>12}",
+                "{:<12} {:>7} {:>6} {:>14.2} {:>12} | {:>14.2} {:>12}",
                 name,
                 report.solved,
+                report.wrong,
                 report.plain_secs,
                 report.plain_decisions,
                 report.presolved_secs,
                 report.presolved_decisions
             );
+            wrong += report.wrong;
         }
         println!();
+    }
+    if wrong > 0 {
+        eprintln!("{wrong} wrong answer(s)");
+        std::process::exit(1);
     }
 }
 
 #[derive(Default)]
 struct ArmReport {
     solved: usize,
+    /// Verdicts, plain or presolved, that failed their check.
+    wrong: usize,
     plain_secs: f64,
     plain_decisions: u64,
     presolved_secs: f64,
@@ -97,17 +113,13 @@ fn measure(
     let (res, stats) = solve_cnf(&pre.cnf, solver.clone(), budget.clone());
     report.plain_secs += preprocess + t0.elapsed().as_secs_f64();
     report.plain_decisions += stats.decisions;
-    if let (Some(expected), false) = (inst.expected, matches!(res, sat::SolveResult::Unknown)) {
-        assert_eq!(
-            res.is_sat(),
-            expected,
-            "{}: verdict broken by {}",
-            inst.name,
-            p.name()
-        );
-    }
-    if !matches!(res, sat::SolveResult::Unknown) {
-        report.solved += 1;
+    match classify(&inst.aig, &pre, &res, inst.expected) {
+        Status::Sat | Status::Unsat => report.solved += 1,
+        Status::Timeout => {}
+        Status::Wrong { reason } => {
+            eprintln!("WRONG ANSWER: {} on {}: {reason}", p.name(), inst.name);
+            report.wrong += 1;
+        }
     }
 
     let t0 = Instant::now();
@@ -119,12 +131,12 @@ fn measure(
     );
     report.presolved_secs += preprocess + t0.elapsed().as_secs_f64();
     report.presolved_decisions += stats2.decisions;
-    if let (Some(expected), false) = (inst.expected, matches!(res2, sat::SolveResult::Unknown)) {
-        assert_eq!(
-            res2.is_sat(),
-            expected,
-            "{}: verdict broken by presolve",
+    if let Status::Wrong { reason } = classify(&inst.aig, &pre, &res2, inst.expected) {
+        eprintln!(
+            "WRONG ANSWER: {} + presolve on {}: {reason}",
+            p.name(),
             inst.name
         );
+        report.wrong += 1;
     }
 }

@@ -6,7 +6,9 @@
 //! cargo run --release -p bench --bin run_fig4 -- --solver both --csv fig4.csv
 //! ```
 
-use bench::experiments::{fig4, records_to_csv, render_arms, trained_agent, Scale};
+use bench::experiments::{
+    exit_on_wrong, fig4, records_to_csv, render_arms, trained_agent, Arm, Scale,
+};
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
@@ -22,6 +24,7 @@ fn main() {
     let agent = trained_agent(&scale);
 
     let mut all_csv = String::new();
+    let mut all_arms: Vec<Arm> = Vec::new();
     let solvers: Vec<&str> = match solver.as_str() {
         "both" => vec!["kissat", "cadical"],
         s => vec![s],
@@ -40,11 +43,13 @@ fn main() {
             100.0 * (1.0 - ours / comp)
         );
         all_csv.push_str(&records_to_csv(&arms));
+        all_arms.extend(arms);
     }
     if let Some(path) = csv_path {
         std::fs::write(&path, all_csv).expect("write csv");
         println!("\nrecords written to {path}");
     }
+    exit_on_wrong(all_arms.iter().flat_map(|a| &a.records));
 }
 
 fn flag_value(args: &[String], flag: &str) -> Option<String> {

@@ -5,7 +5,7 @@
 //! CSAT_SCALE=standard cargo run --release -p bench --bin run_fig5
 //! ```
 
-use bench::experiments::{fig5, records_to_csv, render_arms, trained_agent, Scale};
+use bench::experiments::{exit_on_wrong, fig5, records_to_csv, render_arms, trained_agent, Scale};
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
@@ -36,4 +36,5 @@ fn main() {
         std::fs::write(&path, records_to_csv(&arms)).expect("write csv");
         println!("records written to {path}");
     }
+    exit_on_wrong(arms.iter().flat_map(|a| &a.records));
 }

@@ -4,7 +4,7 @@
 //! CSAT_SCALE=standard cargo run --release -p bench --bin run_table1
 //! ```
 
-use bench::experiments::{render_table1, table1, Scale};
+use bench::experiments::{exit_on_wrong, render_table1, table1, Scale};
 
 fn main() {
     let scale = Scale::from_env(Scale::standard());
@@ -13,8 +13,8 @@ fn main() {
         "(scale: {} instances, widths {:?}, budget {} conflicts)\n",
         scale.train_count, scale.train_bits, scale.budget_conflicts
     );
-    let rows = table1(&scale);
-    print!("{}", render_table1(&rows));
+    let t = table1(&scale);
+    print!("{}", render_table1(&t.rows));
     println!("\npaper (200 industrial instances) for reference:");
     println!(
         "{:<12} {:>12} {:>12} {:>12} {:>12}",
@@ -40,4 +40,5 @@ fn main() {
         "{:<12} {:>12} {:>12} {:>12} {:>12}",
         "Time (s)", 2.01, 1.96, 0.04, 6.68
     );
+    exit_on_wrong(&t.records);
 }

@@ -1,13 +1,14 @@
 //! Shared experiment machinery for the binaries and Criterion benches.
 
 use csat_preproc::report::{
-    cactus, run_campaign, summarize, total_decisions, total_runtime, RunRecord, Summary,
+    cactus, count_wrong, run_campaign, run_one, summarize, total_decisions, total_runtime,
+    RunRecord, Status, Summary,
 };
 use csat_preproc::{BaselinePipeline, CompPipeline, FrameworkPipeline, Pipeline};
 use rl::env::EnvConfig;
 use rl::train::{train_agent, TrainConfig};
 use rl::{DqnAgent, DqnConfig, RecipePolicy};
-use sat::{solve_cnf, Budget, SolverConfig};
+use sat::{Budget, SolverConfig};
 use workloads::dataset::{generate, instance_stats, DatasetParams};
 use workloads::Instance;
 
@@ -169,27 +170,37 @@ pub struct Table1Row {
     pub summary: Summary,
 }
 
+/// Table I plus the Baseline runs behind its last two rows.
+#[derive(Clone, Debug)]
+pub struct Table1 {
+    /// The five rows, in the paper's order.
+    pub rows: Vec<Table1Row>,
+    /// One checked Baseline run per training instance.
+    pub records: Vec<RunRecord>,
+}
+
 /// Regenerates Table I: statistics of the training dataset
 /// (#gates, #PIs, depth, #clauses after Tseitin, baseline solve time).
-pub fn table1(scale: &Scale) -> Vec<Table1Row> {
+pub fn table1(scale: &Scale) -> Table1 {
     let set = train_split(scale);
+    let solver = SolverConfig::kissat_like();
     let mut gates = Vec::new();
     let mut pis = Vec::new();
     let mut depth = Vec::new();
     let mut clauses = Vec::new();
     let mut times = Vec::new();
+    let mut records = Vec::new();
     for inst in &set {
         let s = instance_stats(&inst.aig);
         gates.push(s.gates as f64);
         pis.push(s.pis as f64);
         depth.push(s.depth as f64);
-        let pre = BaselinePipeline.preprocess(&inst.aig);
-        clauses.push(pre.cnf.num_clauses() as f64);
-        let t0 = std::time::Instant::now();
-        let _ = solve_cnf(&pre.cnf, SolverConfig::kissat_like(), scale.budget());
-        times.push(t0.elapsed().as_secs_f64());
+        let r = run_one(&BaselinePipeline, inst, "kissat", &solver, scale.budget());
+        clauses.push(r.cnf_clauses as f64);
+        times.push(r.solve_secs);
+        records.push(r);
     }
-    vec![
+    let rows = vec![
         Table1Row {
             metric: "# Gates",
             summary: summarize(&gates),
@@ -210,7 +221,8 @@ pub fn table1(scale: &Scale) -> Vec<Table1Row> {
             metric: "Time (s)",
             summary: summarize(&times),
         },
-    ]
+    ];
+    Table1 { rows, records }
 }
 
 /// Renders Table I in the paper's format.
@@ -251,6 +263,11 @@ impl Arm {
     /// Number of solved instances.
     pub fn solved(&self) -> usize {
         self.records.iter().filter(|r| r.solved()).count()
+    }
+
+    /// Number of wrong answers ([`Status::Wrong`]).
+    pub fn wrong(&self) -> usize {
+        count_wrong(&self.records)
     }
 
     /// Total branching decisions.
@@ -318,14 +335,15 @@ pub fn fig5(scale: &Scale, agent: Option<DqnAgent>) -> Vec<Arm> {
 pub fn render_arms(arms: &[Arm], penalty: f64) -> String {
     let mut out = String::new();
     out.push_str(&format!(
-        "{:<12} {:>8} {:>14} {:>14}\n",
-        "pipeline", "solved", "total time (s)", "decisions"
+        "{:<12} {:>8} {:>6} {:>14} {:>14}\n",
+        "pipeline", "solved", "wrong", "total time (s)", "decisions"
     ));
     for a in arms {
         out.push_str(&format!(
-            "{:<12} {:>8} {:>14.2} {:>14}\n",
+            "{:<12} {:>8} {:>6} {:>14.2} {:>14}\n",
             a.name,
             a.solved(),
+            a.wrong(),
             a.total_secs(penalty),
             a.decisions()
         ));
@@ -344,6 +362,25 @@ pub fn render_arms(arms: &[Arm], penalty: f64) -> String {
     out
 }
 
+/// Prints every wrong answer among `records` to stderr, then exits the
+/// process with status 1 if there was any.
+pub fn exit_on_wrong<'a>(records: impl IntoIterator<Item = &'a RunRecord>) {
+    let mut n = 0;
+    for r in records {
+        if let Status::Wrong { reason } = &r.status {
+            eprintln!(
+                "WRONG ANSWER: {} on {} ({}): {reason}",
+                r.pipeline, r.instance, r.solver
+            );
+            n += 1;
+        }
+    }
+    if n > 0 {
+        eprintln!("{n} wrong answer(s)");
+        std::process::exit(1);
+    }
+}
+
 /// Writes records as CSV (hand-rolled; avoids extra dependencies).
 pub fn records_to_csv(arms: &[Arm]) -> String {
     let mut out = String::from(
@@ -352,9 +389,10 @@ pub fn records_to_csv(arms: &[Arm]) -> String {
     for arm in arms {
         for r in &arm.records {
             let status = match &r.status {
-                csat_preproc::report::Status::Sat { .. } => "sat",
-                csat_preproc::report::Status::Unsat => "unsat",
-                csat_preproc::report::Status::Timeout => "timeout",
+                Status::Sat => "sat",
+                Status::Unsat => "unsat",
+                Status::Timeout => "timeout",
+                Status::Wrong { .. } => "wrong",
             };
             out.push_str(&format!(
                 "{},{},{},{},{},{},{},{},{:.6},{:.6},{}\n",
@@ -392,9 +430,10 @@ mod tests {
 
     #[test]
     fn table1_has_five_rows() {
-        let rows = table1(&Scale::quick());
-        assert_eq!(rows.len(), 5);
-        let rendered = render_table1(&rows);
+        let t = table1(&Scale::quick());
+        assert_eq!(t.rows.len(), 5);
+        assert_eq!(count_wrong(&t.records), 0);
+        let rendered = render_table1(&t.rows);
         assert!(rendered.contains("# Gates"));
         assert!(rendered.contains("Time (s)"));
     }

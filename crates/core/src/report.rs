@@ -12,15 +12,19 @@ use workloads::Instance;
 /// Outcome of one (pipeline, instance, solver) run.
 #[derive(Clone, Debug, Serialize, Deserialize, PartialEq, Eq)]
 pub enum Status {
-    /// Satisfiable, with model validity against the original circuit.
-    Sat {
-        /// Whether the decoded model satisfies the original instance.
-        model_valid: bool,
-    },
+    /// Satisfiable; the decoded model satisfies the original circuit.
+    Sat,
     /// Unsatisfiable.
     Unsat,
     /// Budget exhausted (the paper's TO).
     Timeout,
+    /// A verdict that fails its check: a decoded model that does not
+    /// satisfy the circuit, or a verdict contradicting the instance label.
+    /// Never counted as solved; campaigns exit non-zero on it.
+    Wrong {
+        /// What the check found.
+        reason: String,
+    },
 }
 
 /// One run record.
@@ -56,9 +60,14 @@ impl RunRecord {
         self.preprocess_secs + self.solve_secs
     }
 
-    /// True when the run finished within budget.
+    /// True when the run finished within budget with a checked verdict.
     pub fn solved(&self) -> bool {
-        !matches!(self.status, Status::Timeout)
+        matches!(self.status, Status::Sat | Status::Unsat)
+    }
+
+    /// True when the verdict failed its check ([`Status::Wrong`]).
+    pub fn wrong(&self) -> bool {
+        matches!(self.status, Status::Wrong { .. })
     }
 }
 
@@ -95,29 +104,32 @@ pub fn run_one(
     }
 }
 
-fn classify(
+/// Checks a solver verdict on the original circuit `aig`: a model is
+/// decoded through `pre` and replayed, and both verdicts are held against
+/// the instance label `expected` (if any). A failed check is
+/// [`Status::Wrong`], in release builds too.
+pub fn classify(
     aig: &Aig,
     pre: &crate::pipeline::PreprocessResult,
     result: &SolveResult,
     expected: Option<bool>,
 ) -> Status {
+    let wrong = |reason: &str| Status::Wrong {
+        reason: reason.to_string(),
+    };
     match result {
         SolveResult::Sat(model) => {
             let ins = pre.decoder.decode_inputs(model);
-            let outs = aig.eval(&ins);
-            let model_valid = outs.iter().any(|&o| o);
-            debug_assert!(model_valid, "decoded model must satisfy the instance");
-            if let Some(false) = expected {
-                debug_assert!(false, "instance labelled UNSAT produced a model");
+            if !aig.eval(&ins).iter().any(|&o| o) {
+                wrong("decoded model does not satisfy the instance")
+            } else if expected == Some(false) {
+                wrong("instance labelled UNSAT produced a model")
+            } else {
+                Status::Sat
             }
-            Status::Sat { model_valid }
         }
-        SolveResult::Unsat => {
-            if let Some(true) = expected {
-                debug_assert!(false, "instance labelled SAT proved UNSAT");
-            }
-            Status::Unsat
-        }
+        SolveResult::Unsat if expected == Some(true) => wrong("instance labelled SAT proved UNSAT"),
+        SolveResult::Unsat => Status::Unsat,
         SolveResult::Unknown => Status::Timeout,
     }
 }
@@ -168,6 +180,11 @@ pub fn total_runtime(records: &[RunRecord], penalty_secs: f64) -> f64 {
             }
         })
         .sum()
+}
+
+/// Runs whose verdict failed its check ([`Status::Wrong`]).
+pub fn count_wrong(records: &[RunRecord]) -> usize {
+    records.iter().filter(|r| r.wrong()).count()
 }
 
 /// Total branching decisions across a campaign.
@@ -237,10 +254,7 @@ mod tests {
         );
         assert_eq!(records.len(), 4);
         for r in &records {
-            match &r.status {
-                Status::Sat { model_valid } => assert!(model_valid, "{}", r.instance),
-                Status::Unsat | Status::Timeout => {}
-            }
+            assert!(!r.wrong(), "{}: {:?}", r.instance, r.status);
             assert!(r.cnf_vars > 0);
         }
     }
@@ -280,6 +294,57 @@ mod tests {
         assert!((s.std - 1.118).abs() < 1e-3);
         let empty = summarize(&[]);
         assert_eq!(empty.avg, 0.0);
+    }
+
+    #[test]
+    fn classify_rejects_forged_verdicts() {
+        // x AND y: the only model sets both inputs.
+        let mut g = Aig::new();
+        let x = g.add_pi();
+        let y = g.add_pi();
+        let o = g.and(x, y);
+        g.add_po(o);
+        let pre = BaselinePipeline.preprocess(&g);
+        let (result, _) = solve_cnf(&pre.cnf, SolverConfig::default(), Budget::conflicts(1000));
+        let SolveResult::Sat(model) = &result else {
+            panic!("x AND y is satisfiable");
+        };
+        assert_eq!(classify(&g, &pre, &result, Some(true)), Status::Sat);
+        assert!(matches!(
+            classify(&g, &pre, &result, Some(false)),
+            Status::Wrong { .. }
+        ));
+        // Forge the model: every variable false, so x = y = 0.
+        let forged = SolveResult::Sat(vec![false; model.len()]);
+        let status = classify(&g, &pre, &forged, None);
+        assert_eq!(
+            status,
+            Status::Wrong {
+                reason: "decoded model does not satisfy the instance".into()
+            }
+        );
+        assert!(matches!(
+            classify(&g, &pre, &SolveResult::Unsat, Some(true)),
+            Status::Wrong { .. }
+        ));
+        assert_eq!(classify(&g, &pre, &SolveResult::Unsat, None), Status::Unsat);
+        let record = RunRecord {
+            instance: "and2".into(),
+            pipeline: "p".into(),
+            solver: "s".into(),
+            status,
+            decisions: 0,
+            conflicts: 0,
+            cnf_vars: 1,
+            cnf_clauses: 1,
+            preprocess_secs: 0.1,
+            solve_secs: 0.1,
+            recipe: String::new(),
+        };
+        assert!(!record.solved() && record.wrong());
+        let records = [record];
+        assert_eq!(count_wrong(&records), 1);
+        assert!(cactus(&records).is_empty());
     }
 
     #[test]
