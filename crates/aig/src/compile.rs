@@ -23,14 +23,10 @@
 //!   where only POs and latch next-states matter.
 //!
 //! Ops are **levelized**: sorted by logic level with recorded level
-//! boundaries ([`SimProgram::num_levels`]). Parallelism lives one layer
-//! up: [`crate::sim::random_columns_prog`] runs whole programs on disjoint
-//! column blocks from parallel workers through the raw-pointer executor
-//! below.
-// Unsafe code in this crate lives here (the raw-pointer op executor) and in
-// `crate::sim` (the parallel column-scatter writers); the crate root denies
-// it everywhere else, and every block carries a `// SAFETY:` comment
-// (clippy-enforced).
+//! boundaries ([`SimProgram::num_levels`]).
+// Unsafe code in this crate lives only here (the raw-pointer op executor);
+// the crate root denies it everywhere else, and every block carries a
+// `// SAFETY:` comment (clippy-enforced).
 #![allow(unsafe_code)]
 
 use crate::aig::Aig;
@@ -275,46 +271,16 @@ impl SimProgram {
         unsafe { self.run_ops(frame, pi_block) }
     }
 
-    /// Runs all ops against a raw strided buffer: `base` points at a
-    /// matrix of `n_slots` rows of `stride` words, and the program writes
-    /// columns `w0 .. w0 + nb` of every row.
-    ///
-    /// # Safety
-    /// `base` must stay valid for `n_slots * stride` words for the whole
-    /// call, `w0 + nb <= stride` must hold, `pi_block` must hold
-    /// `n_pis * nb` words, and no other thread may concurrently access
-    /// columns `w0 .. w0 + nb` of any row. Used by the producers in
-    /// [`crate::sim`] to run disjoint column blocks from parallel workers.
-    pub(crate) unsafe fn run_all_raw(
-        &self,
-        base: *mut u64,
-        stride: usize,
-        w0: usize,
-        nb: usize,
-        pi_block: &[u64],
-    ) {
-        debug_assert!(w0 + nb <= stride);
-        debug_assert_eq!(pi_block.len(), self.n_pis * nb);
-        self.run_ops(
-            Frame {
-                base,
-                stride,
-                w0,
-                nb,
-            },
-            pi_block,
-        )
-    }
-
     /// Executes every op against a frame.
     ///
     /// # Safety
     /// `frame.base` must point at a buffer of at least
     /// `n_slots * frame.stride` words with `frame.w0 + frame.nb <=
     /// frame.stride`, `pi_block` must hold `n_pis * frame.nb` words, and
-    /// no other thread may concurrently access columns `frame.w0 ..
-    /// frame.w0 + frame.nb` of any row. Compilation guarantees every op's `dst < n_slots`
-    /// and every operand slot `< dst` (topological emission), so all
+    /// nothing else may access the buffer during the call (both callers
+    /// hold it mutably borrowed). Compilation guarantees every op's
+    /// `dst < n_slots` and every operand slot `< dst` (topological
+    /// emission), so all
     /// touched offsets `slot * stride + w0 + j` (`j < nb`) are in bounds
     /// and no op's destination aliases its operands.
     unsafe fn run_ops(&self, f: Frame, pi_block: &[u64]) {

@@ -9,12 +9,6 @@
 //! `n_words` words per row (row-major, stride `n_words`), one row per AIG
 //! node. Simulation writes straight into the matrix column by column, so
 //! neither the producer nor any consumer allocates per-node rows.
-// Unsafe code in this crate lives here (the parallel column-scatter writers)
-// and in `crate::compile` (the raw-pointer op executor); the crate root
-// denies it everywhere else, and every block carries a `// SAFETY:` comment
-// (clippy-enforced).
-#![allow(unsafe_code)]
-
 use crate::aig::Aig;
 use crate::compile::SimProgram;
 use crate::tt::Tt;
@@ -50,7 +44,7 @@ impl PartialEq for SimVectors {
 impl Eq for SimVectors {}
 
 impl SimVectors {
-    /// An empty matrix; shape it with [`SimVectors::reset`].
+    /// An empty matrix; shape it with [`SimVectors::reshape`].
     pub fn new() -> SimVectors {
         SimVectors {
             words: Vec::new(),
@@ -122,7 +116,7 @@ impl SimVectors {
     /// rotation so that moving a word between columns or rows changes the
     /// result — unlike a plain XOR fold, where symmetric contents (or a
     /// row XORing to zero) make disagreement invisible. Used by the bench
-    /// harness and CI to compare engines and thread counts.
+    /// harness and CI to compare the two simulation engines.
     pub fn checksum(&self) -> u64 {
         let mut h = 0x9E37_79B9_7F4A_7C15u64 ^ (self.words.len() as u64);
         if self.n_words == 0 {
@@ -178,8 +172,7 @@ impl SimVectors {
 ///
 /// This is the simulation kernel proper: fanin loads stay in a contiguous,
 /// cache-resident buffer; scattering into a strided signature matrix is the
-/// caller's (cheap, linear) job. Free-standing so parallel column workers
-/// can run it on private buffers.
+/// caller's (cheap, linear) job.
 ///
 /// # Panics
 /// Panics if `pi_block.len() != aig.num_pis() * nb`.
@@ -249,7 +242,7 @@ pub fn random_signatures_into(aig: &Aig, n_words: usize, seed: u64, sigs: &mut S
     sigs.reshape(aig.num_nodes(), n_words);
     if n_words >= 4 {
         let prog = SimProgram::full(aig);
-        random_columns_prog(&prog, sigs, 0, n_words, seed, 1);
+        random_columns_prog(&prog, sigs, 0, n_words, seed);
     } else {
         random_columns(aig, sigs, 0, n_words, seed);
     }
@@ -257,9 +250,9 @@ pub fn random_signatures_into(aig: &Aig, n_words: usize, seed: u64, sigs: &mut S
 
 /// Decorrelates a per-block random stream from the base seed (splitmix64
 /// finalizer). Seeding every block independently — instead of drawing one
-/// sequential stream — is what lets parallel workers produce the same
-/// patterns as a sequential pass: block `b`'s words depend only on
-/// `(seed, b)`, never on who simulated block `b - 1`.
+/// sequential stream — makes block `b`'s words depend only on
+/// `(seed, b)`, so both engines and every column offset see the same
+/// patterns per block.
 #[inline]
 fn block_seed(seed: u64, block: u64) -> u64 {
     let mut z = seed ^ block.wrapping_mul(0x9E37_79B9_7F4A_7C15);
@@ -268,13 +261,14 @@ fn block_seed(seed: u64, block: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Fills columns `w0 .. w0 + n_cols` of an already-shaped matrix with
-/// uniformly random patterns, in blocked passes. Deterministic for a
-/// fixed seed; shared by the signature producers and the sweep engine's
-/// per-round resimulation. Equivalent to [`random_columns_par`] with one
-/// thread.
-pub fn random_columns(aig: &Aig, sigs: &mut SimVectors, w0: usize, n_cols: usize, seed: u64) {
-    random_columns_par(aig, sigs, w0, n_cols, seed, 1);
+/// The blocks of a random fill of columns `w0 .. w0 + n_cols`:
+/// `(start column, width)`, at most [`SIM_BLOCK`] wide. A block's
+/// position in this sequence is the index of its RNG stream.
+fn blocks(w0: usize, n_cols: usize) -> impl Iterator<Item = (usize, usize)> {
+    let end = w0 + n_cols;
+    (w0..end)
+        .step_by(SIM_BLOCK)
+        .map(move |w| (w, SIM_BLOCK.min(end - w)))
 }
 
 /// Fills one random block's PI words from its private stream.
@@ -285,105 +279,32 @@ fn fill_pi_block(pi_block: &mut [u64], seed: u64, block: u64) {
     }
 }
 
-/// Shares the signature matrix's word buffer with column workers.
-///
-/// Safety contract (upheld by the producers below): every worker writes a
-/// *disjoint* set of columns, all within the buffer, and the matrix is not
-/// read until the scope joins — so the raw writes never alias.
-struct ColumnCursor(*mut u64);
-// SAFETY: per the contract above — workers write disjoint columns of a
-// buffer that outlives the scope, and nothing reads it until the scoped
-// threads join, so shared `&ColumnCursor` access never produces a data
-// race.
-unsafe impl Sync for ColumnCursor {}
-
-/// [`random_columns`] split across up to `threads` worker threads.
-///
-/// Blocks of [`SIM_BLOCK`] columns are dealt round-robin to the workers;
-/// each block's patterns come from a private RNG stream keyed by
-/// `(seed, block index)`, and each worker simulates into a private dense
-/// buffer before scattering into its own columns of the strided matrix.
-/// The strided layout makes those writes disjoint, so the result is
-/// bit-identical for every thread count, one included.
-pub fn random_columns_par(
-    aig: &Aig,
-    sigs: &mut SimVectors,
-    w0: usize,
-    n_cols: usize,
-    seed: u64,
-    threads: usize,
-) {
-    // Block descriptors: (start column, width); the block index used for
-    // seeding is the position in this list, so the stream layout is
-    // independent of how the blocks are later scheduled.
-    let blocks: Vec<(usize, usize)> = {
-        let mut v = Vec::new();
-        let mut w = w0;
-        while w < w0 + n_cols {
-            let nb = SIM_BLOCK.min(w0 + n_cols - w);
-            v.push((w, nb));
-            w += nb;
-        }
-        v
-    };
+/// Fills columns `w0 .. w0 + n_cols` of an already-shaped matrix with
+/// uniformly random patterns, in blocked interpreter passes.
+/// Deterministic for a fixed seed, and bit-identical to
+/// [`random_columns_prog`]. Serves narrow fills in
+/// [`random_signatures_into`] and is the reference the compiled engine is
+/// tested against.
+pub fn random_columns(aig: &Aig, sigs: &mut SimVectors, w0: usize, n_cols: usize, seed: u64) {
     let n_pis = aig.num_pis();
-    if threads <= 1 || blocks.len() <= 1 {
-        let mut pi_block = vec![0u64; n_pis * SIM_BLOCK];
-        for (b, &(w, nb)) in blocks.iter().enumerate() {
-            fill_pi_block(&mut pi_block[..n_pis * nb], seed, b as u64);
-            sigs.simulate_block(aig, w, nb, &pi_block[..n_pis * nb]);
-        }
-        return;
+    let mut pi_block = vec![0u64; n_pis * SIM_BLOCK];
+    for (b, (w, nb)) in blocks(w0, n_cols).enumerate() {
+        let pi = &mut pi_block[..n_pis * nb];
+        fill_pi_block(pi, seed, b as u64);
+        sigs.simulate_block(aig, w, nb, pi);
     }
-    assert!(w0 + n_cols <= sigs.n_words, "column range out of bounds");
-    assert_eq!(sigs.n_rows(), aig.num_nodes(), "one row per node");
-    let n = aig.num_nodes();
-    let stride = sigs.n_words;
-    let workers = threads.min(blocks.len());
-    let cursor = ColumnCursor(sigs.words.as_mut_ptr());
-    std::thread::scope(|scope| {
-        for t in 0..workers {
-            let cursor = &cursor;
-            let blocks = &blocks;
-            scope.spawn(move || {
-                let mut pi_block = vec![0u64; n_pis * SIM_BLOCK];
-                let mut val: Vec<u64> = Vec::new();
-                let mut b = t;
-                while b < blocks.len() {
-                    let (w, nb) = blocks[b];
-                    fill_pi_block(&mut pi_block[..n_pis * nb], seed, b as u64);
-                    sim_dense_block(aig, nb, &pi_block[..n_pis * nb], &mut val);
-                    // SAFETY: this worker owns columns `w .. w + nb` of
-                    // every row (blocks are disjoint, dealt round-robin),
-                    // and `v * stride + w + nb <= words.len()` by the
-                    // shape asserts above.
-                    unsafe {
-                        for v in 0..n {
-                            std::ptr::copy_nonoverlapping(
-                                val[v * nb..].as_ptr(),
-                                cursor.0.add(v * stride + w),
-                                nb,
-                            );
-                        }
-                    }
-                    b += workers;
-                }
-            });
-        }
-    });
 }
 
-/// [`random_columns_par`] driven by a compiled program instead of the
+/// [`random_columns`] driven by a compiled program instead of the
 /// interpreter.
 ///
 /// The block structure and per-block RNG streams are identical to the
-/// interpreter producers', and a [`SimProgram::full`] program writes
-/// every node row bit-identically to [`SimVectors::simulate_block`] — so
-/// for any `(seed, column range)` this fills exactly the same matrix as
-/// [`random_columns_par`], for every thread count of either engine. The
-/// win is the run itself: one precompiled op sweep writing straight into
-/// the strided matrix, instead of a dense interpreter pass plus a
-/// row-by-row scatter.
+/// interpreter's, and a [`SimProgram::full`] program writes every node
+/// row bit-identically to [`SimVectors::simulate_block`] — so for any
+/// `(seed, column range)` this fills exactly the same matrix as
+/// [`random_columns`]. The win is the run itself: one precompiled op
+/// sweep writing straight into the strided matrix, instead of a dense
+/// interpreter pass plus a row-by-row scatter.
 ///
 /// # Panics
 /// Panics if the matrix shape does not match the program
@@ -394,171 +315,28 @@ pub fn random_columns_prog(
     w0: usize,
     n_cols: usize,
     seed: u64,
-    threads: usize,
 ) {
-    assert!(w0 + n_cols <= sigs.n_words, "column range out of bounds");
-    assert_eq!(sigs.n_rows(), prog.n_slots(), "one row per program slot");
-    let blocks: Vec<(usize, usize)> = {
-        let mut v = Vec::new();
-        let mut w = w0;
-        while w < w0 + n_cols {
-            let nb = SIM_BLOCK.min(w0 + n_cols - w);
-            v.push((w, nb));
-            w += nb;
-        }
-        v
-    };
     let n_pis = prog.n_pis();
-    let stride = sigs.n_words;
-    let workers = if blocks.len() <= 1 {
-        1
-    } else {
-        threads.min(blocks.len())
-    };
-    let cursor = ColumnCursor(sigs.words.as_mut_ptr());
-    if workers <= 1 {
-        let mut pi_block = vec![0u64; n_pis * SIM_BLOCK];
-        for (b, &(w, nb)) in blocks.iter().enumerate() {
-            fill_pi_block(&mut pi_block[..n_pis * nb], seed, b as u64);
-            // SAFETY: single-threaded; shape asserted above.
-            unsafe { prog.run_all_raw(cursor.0, stride, w, nb, &pi_block[..n_pis * nb]) };
-        }
-        return;
+    let mut pi_block = vec![0u64; n_pis * SIM_BLOCK];
+    for (b, (w, nb)) in blocks(w0, n_cols).enumerate() {
+        let pi = &mut pi_block[..n_pis * nb];
+        fill_pi_block(pi, seed, b as u64);
+        prog.run_strided(sigs, w, nb, pi);
     }
-    std::thread::scope(|scope| {
-        for t in 0..workers {
-            let cursor = &cursor;
-            let blocks = &blocks;
-            scope.spawn(move || {
-                let mut pi_block = vec![0u64; n_pis * SIM_BLOCK];
-                let mut b = t;
-                while b < blocks.len() {
-                    let (w, nb) = blocks[b];
-                    fill_pi_block(&mut pi_block[..n_pis * nb], seed, b as u64);
-                    // SAFETY: this worker owns columns `w .. w + nb` of
-                    // every row (blocks are disjoint, dealt round-robin),
-                    // within bounds by the shape asserts above.
-                    unsafe { prog.run_all_raw(cursor.0, stride, w, nb, &pi_block[..n_pis * nb]) };
-                    b += workers;
-                }
-            });
-        }
-    });
 }
 
-/// [`simulate_columns_par`] driven by a compiled program: replays
-/// `(column, PI words)` jobs through one [`SimProgram::full`] run per
-/// job. Fills the same columns bit-identically to the interpreter
-/// version, for every thread count.
+/// Replays `(column, PI words)` jobs through a compiled program, one
+/// [`SimProgram::run_strided`] column per job. Used by the sweep engine
+/// to replay counterexample chunks; each column is bit-identical to
+/// [`SimVectors::simulate_column`] on the same PI words.
 ///
 /// # Panics
-/// Panics if the matrix shape does not match the program, a column is
-/// out of range, or (with multiple threads) columns are not distinct.
-pub fn simulate_columns_prog(
-    prog: &SimProgram,
-    sigs: &mut SimVectors,
-    jobs: &[(usize, &[u64])],
-    threads: usize,
-) {
-    assert_eq!(sigs.n_rows(), prog.n_slots(), "one row per program slot");
-    for &(w, _) in jobs {
-        assert!(w < sigs.n_words, "column out of range");
+/// Panics if the matrix shape does not match the program or a column is
+/// out of range.
+pub fn simulate_columns_prog(prog: &SimProgram, sigs: &mut SimVectors, jobs: &[(usize, &[u64])]) {
+    for &(w, pi_words) in jobs {
+        prog.run_strided(sigs, w, 1, pi_words);
     }
-    let stride = sigs.n_words;
-    let cursor = ColumnCursor(sigs.words.as_mut_ptr());
-    if threads <= 1 || jobs.len() <= 1 {
-        for &(w, pi_words) in jobs {
-            // SAFETY: single-threaded; shape asserted above.
-            unsafe { prog.run_all_raw(cursor.0, stride, w, 1, pi_words) };
-        }
-        return;
-    }
-    for (i, &(w, _)) in jobs.iter().enumerate() {
-        // Hard assert (see `simulate_columns_par`): distinctness is the
-        // disjointness guarantee the concurrent writes rely on.
-        assert!(
-            jobs[..i].iter().all(|&(prev, _)| prev != w),
-            "replay columns must be distinct"
-        );
-    }
-    let workers = threads.min(jobs.len());
-    std::thread::scope(|scope| {
-        for t in 0..workers {
-            let cursor = &cursor;
-            scope.spawn(move || {
-                let mut j = t;
-                while j < jobs.len() {
-                    let (w, pi_words) = jobs[j];
-                    // SAFETY: columns are distinct and dealt round-robin,
-                    // so each worker's writes are disjoint and in bounds
-                    // by the asserts above.
-                    unsafe { prog.run_all_raw(cursor.0, stride, w, 1, pi_words) };
-                    j += workers;
-                }
-            });
-        }
-    });
-}
-
-/// Simulates a set of independent replay columns — `(column, PI words)`
-/// jobs — split across up to `threads` worker threads.
-///
-/// Used by the sweep engine to replay counterexample chunks: every job is
-/// one dense pass over the graph, so jobs parallelise perfectly. Columns
-/// must be distinct and in range; each worker scatters into its own
-/// columns only, so the result is bit-identical to running the jobs
-/// sequentially through [`SimVectors::simulate_column`].
-pub fn simulate_columns_par(
-    aig: &Aig,
-    sigs: &mut SimVectors,
-    jobs: &[(usize, &[u64])],
-    threads: usize,
-) {
-    if threads <= 1 || jobs.len() <= 1 {
-        for &(w, pi_words) in jobs {
-            sigs.simulate_column(aig, w, pi_words);
-        }
-        return;
-    }
-    for (i, &(w, _)) in jobs.iter().enumerate() {
-        assert!(w < sigs.n_words, "column out of range");
-        // Hard assert: distinctness is the disjointness guarantee the
-        // unsafe concurrent scatter below relies on — a duplicate column
-        // in a release build would be a data race, not just a wrong
-        // answer. One O(jobs²) scan is noise next to a dense simulation
-        // pass per job.
-        assert!(
-            jobs[..i].iter().all(|&(prev, _)| prev != w),
-            "replay columns must be distinct"
-        );
-    }
-    assert_eq!(sigs.n_rows(), aig.num_nodes(), "one row per node");
-    let n = aig.num_nodes();
-    let stride = sigs.n_words;
-    let workers = threads.min(jobs.len());
-    let cursor = ColumnCursor(sigs.words.as_mut_ptr());
-    std::thread::scope(|scope| {
-        for t in 0..workers {
-            let cursor = &cursor;
-            scope.spawn(move || {
-                let mut val: Vec<u64> = Vec::new();
-                let mut j = t;
-                while j < jobs.len() {
-                    let (w, pi_words) = jobs[j];
-                    sim_dense_block(aig, 1, pi_words, &mut val);
-                    // SAFETY: columns are distinct and dealt round-robin,
-                    // so this worker's writes are disjoint from every
-                    // other's and in bounds by the asserts above.
-                    unsafe {
-                        for v in 0..n {
-                            *cursor.0.add(v * stride + w) = val[v];
-                        }
-                    }
-                    j += workers;
-                }
-            });
-        }
-    });
 }
 
 /// PO signatures over `n_words * 64` random patterns (complement applied).
@@ -748,36 +526,25 @@ mod tests {
     }
 
     #[test]
-    fn parallel_random_columns_match_sequential() {
-        let g = wide_graph();
-        // 27 columns = 4 blocks (8+8+8+3): enough to spread across workers.
-        let mut seq = SimVectors::zero(g.num_nodes(), 27);
-        random_columns_par(&g, &mut seq, 0, 27, 0xFEED, 1);
-        for threads in [2, 3, 8] {
-            let mut par = SimVectors::zero(g.num_nodes(), 27);
-            random_columns_par(&g, &mut par, 0, 27, 0xFEED, threads);
-            assert_eq!(par, seq, "threads={threads}");
-        }
-        // Offsets keep per-block streams: filling [3, 3+24) uses the same
-        // block indices 0.. as filling from 0, applied at shifted columns.
-        let mut off = SimVectors::zero(g.num_nodes(), 27);
-        random_columns_par(&g, &mut off, 3, 24, 0xFEED, 2);
-        for v in 0..g.num_nodes() {
-            assert_eq!(off.row(v)[3..27], seq.row(v)[..24], "node {v}");
-        }
-    }
-
-    #[test]
     fn compiled_random_columns_match_interpreter() {
         let g = wide_graph();
         let prog = SimProgram::full(&g);
+        // 27 columns = 4 blocks (8+8+8+3).
         let mut interp = SimVectors::zero(g.num_nodes(), 27);
-        random_columns_par(&g, &mut interp, 0, 27, 0xFEED, 1);
-        for threads in [1, 2, 4] {
-            let mut comp = SimVectors::zero(g.num_nodes(), 27);
-            random_columns_prog(&prog, &mut comp, 0, 27, 0xFEED, threads);
-            assert_eq!(comp, interp, "threads={threads}");
-            assert_eq!(comp.checksum(), interp.checksum());
+        random_columns(&g, &mut interp, 0, 27, 0xFEED);
+        let mut comp = SimVectors::zero(g.num_nodes(), 27);
+        random_columns_prog(&prog, &mut comp, 0, 27, 0xFEED);
+        assert_eq!(comp, interp);
+        assert_eq!(comp.checksum(), interp.checksum());
+        // Offsets keep per-block streams: filling [3, 3+24) uses the same
+        // block indices 0.. as filling from 0, applied at shifted columns.
+        let mut off = SimVectors::zero(g.num_nodes(), 27);
+        random_columns_prog(&prog, &mut off, 3, 24, 0xFEED);
+        let mut off_interp = SimVectors::zero(g.num_nodes(), 27);
+        random_columns(&g, &mut off_interp, 3, 24, 0xFEED);
+        assert_eq!(off, off_interp);
+        for v in 0..g.num_nodes() {
+            assert_eq!(off.row(v)[3..27], interp.row(v)[..24], "node {v}");
         }
     }
 
@@ -794,12 +561,12 @@ mod tests {
             .map(|(k, c)| (k, c.as_slice()))
             .collect();
         let mut interp = SimVectors::zero(g.num_nodes(), 5);
-        simulate_columns_par(&g, &mut interp, &jobs, 1);
-        for threads in [1, 3] {
-            let mut comp = SimVectors::zero(g.num_nodes(), 5);
-            simulate_columns_prog(&prog, &mut comp, &jobs, threads);
-            assert_eq!(comp, interp, "threads={threads}");
+        for &(w, pi) in &jobs {
+            interp.simulate_column(&g, w, pi);
         }
+        let mut comp = SimVectors::zero(g.num_nodes(), 5);
+        simulate_columns_prog(&prog, &mut comp, &jobs);
+        assert_eq!(comp, interp);
     }
 
     #[test]
@@ -831,30 +598,5 @@ mod tests {
         let mut sym = SimVectors::zero(2, 2);
         sym.row_mut(0).copy_from_slice(&[0xFF, 0xFF]);
         assert_ne!(sym.checksum(), SimVectors::zero(2, 2).checksum());
-    }
-
-    #[test]
-    fn parallel_replay_columns_match_sequential() {
-        let g = wide_graph();
-        let chunks: Vec<Vec<u64>> = (0..5)
-            .map(|k| (0..g.num_pis() as u64).map(|i| i * 0x9E37 + k).collect())
-            .collect();
-        let jobs: Vec<(usize, &[u64])> = chunks
-            .iter()
-            .enumerate()
-            .map(|(k, c)| (k, c.as_slice()))
-            .collect();
-        let mut seq = SimVectors::zero(g.num_nodes(), 5);
-        simulate_columns_par(&g, &mut seq, &jobs, 1);
-        let mut by_hand = SimVectors::zero(g.num_nodes(), 5);
-        for &(w, pi) in &jobs {
-            by_hand.simulate_column(&g, w, pi);
-        }
-        assert_eq!(seq, by_hand);
-        for threads in [2, 4] {
-            let mut par = SimVectors::zero(g.num_nodes(), 5);
-            simulate_columns_par(&g, &mut par, &jobs, threads);
-            assert_eq!(par, seq, "threads={threads}");
-        }
     }
 }

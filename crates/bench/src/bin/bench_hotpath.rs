@@ -10,11 +10,10 @@
 //!
 //! `--smoke` shrinks every workload so CI can assert the harness still
 //! runs and the JSON still carries the expected keys in a few seconds.
-//! `--threads 1,2,4` selects the thread counts for the parallel kernels
-//! (resimulation and fraig); each count gets its own row, so cross-PR
-//! tables can separate single-thread kernel speed from scaling. The
-//! `context` object records the machine facts (available parallelism,
-//! build profile) that make those rows comparable across PRs.
+//! `--threads 1,2,4` selects the serve engine's worker counts, one row
+//! each; resimulation and fraig are sequential and get one row per engine
+//! or miter. The `context` object records the machine facts (available
+//! parallelism, build profile) that make those rows comparable across PRs.
 
 use cnf::Cnf;
 use csat_preproc::{BaselinePipeline, Pipeline};
@@ -276,11 +275,11 @@ fn main() {
     };
 
     // --- bit-parallel resimulation kernel -------------------------------
-    // One row per (engine, thread count): the interpreter walks the graph
+    // One single-threaded row per engine: the interpreter walks the graph
     // per block; the compiled engine runs the levelized fused-op
     // [`aig::SimProgram`]. Both fill the same strided matrix from the
     // same per-block RNG streams, so the whole-matrix checksum must be
-    // identical across every row — CI's perf-smoke job fails the build on
+    // identical across both rows — CI's perf-smoke job fails the build on
     // any disagreement (a vacuous last-row XOR used to sit here; the
     // checksum now mixes every word, rotated by column, so a wrong row
     // anywhere in the matrix changes it).
@@ -300,7 +299,6 @@ fn main() {
     );
     struct SimRow {
         engine: &'static str,
-        threads: usize,
         wall_s: f64,
         words_simulated: u64,
         words_per_sec: f64,
@@ -310,106 +308,77 @@ fn main() {
     let mut sigs = aig::sim::SimVectors::zero(g.num_nodes(), sim_words);
     let mut sim_rows: Vec<SimRow> = Vec::new();
     for engine in ["interpreter", "compiled"] {
-        for &threads in &thread_counts {
-            let fill = |sigs: &mut aig::sim::SimVectors, seed: u64| match engine {
-                "interpreter" => {
-                    aig::sim::random_columns_par(&g, sigs, 0, sim_words, seed, threads)
-                }
-                _ => aig::sim::random_columns_prog(&prog, sigs, 0, sim_words, seed, threads),
-            };
-            fill(&mut sigs, 1); // warm-up
-            let start = Instant::now();
-            let mut checksum = 0u64;
-            for rep in 0..sim_reps {
-                fill(&mut sigs, rep as u64);
-                checksum = checksum.rotate_left(1) ^ sigs.checksum();
-            }
-            let wall_s = start.elapsed().as_secs_f64();
-            let words_simulated = (g.num_nodes() * sim_words * sim_reps) as u64;
-            sim_rows.push(SimRow {
-                engine,
-                threads,
-                wall_s,
-                words_simulated,
-                words_per_sec: words_simulated as f64 / wall_s.max(1e-9),
-                checksum,
-            });
+        let fill = |sigs: &mut aig::sim::SimVectors, seed: u64| match engine {
+            "interpreter" => aig::sim::random_columns(&g, sigs, 0, sim_words, seed),
+            _ => aig::sim::random_columns_prog(&prog, sigs, 0, sim_words, seed),
+        };
+        fill(&mut sigs, 1); // warm-up
+        let start = Instant::now();
+        let mut checksum = 0u64;
+        for rep in 0..sim_reps {
+            fill(&mut sigs, rep as u64);
+            checksum = checksum.rotate_left(1) ^ sigs.checksum();
         }
+        let wall_s = start.elapsed().as_secs_f64();
+        let words_simulated = (g.num_nodes() * sim_words * sim_reps) as u64;
+        sim_rows.push(SimRow {
+            engine,
+            wall_s,
+            words_simulated,
+            words_per_sec: words_simulated as f64 / wall_s.max(1e-9),
+            checksum,
+        });
     }
 
     // --- fraig (sweep) kernel ------------------------------------------
-    // Two kinds of rows per miter: a sequential *trajectory* row
-    // (threads=1, one oracle — directly comparable with the PR 2/3
-    // numbers), and *scaling* rows with the shard count pinned to the
-    // largest tested thread count, so every scaling row does the same
-    // sharded work and differs only in scheduling. adder-16 is the
-    // historical workload; the wider miter gives each round enough SAT
-    // work for thread scaling to show.
+    // One row per miter. adder-16 is the historical workload; the wider
+    // miter gives each round more SAT work. The warm-up run's counters are
+    // compared with the timed run's: the sweep is deterministic, so
+    // `repeat_identical` must be true.
     let fraig_bits: &[usize] = if smoke { &[4] } else { &[16, 24] };
-    let pinned_shards = thread_counts.iter().copied().max().unwrap_or(1);
     struct FraigRow {
         bits: usize,
-        threads: usize,
-        shards: usize,
-        sim_engine: &'static str,
         wall_s: f64,
         sat_calls: u64,
         proved: u64,
         disproved: u64,
         rounds: u64,
         deadline_interrupts: u64,
-        shard_failures: u64,
+        oracle_failures: u64,
         ands_out: usize,
+        repeat_identical: bool,
     }
     let mut fraig_rows: Vec<FraigRow> = Vec::new();
     for &bits in fraig_bits {
         let fg = adder_miter(bits);
-        let mut run = |threads: usize, shards: usize, compiled_sim: bool| {
-            // Per-row registry: row telemetry is read back from the
-            // published `sweep.stats.*` gauges — the same export path the
-            // CLI prints — not from the returned stats struct. The
-            // warm-up publishes too; last-write-wins leaves the timed run.
-            let reg = obs::Registry::metrics_only();
-            let params = FraigParams {
-                threads,
-                shards,
-                compiled_sim,
-                obs: reg.clone(),
-                ..FraigParams::default()
-            };
-            let _ = fraig(&fg, &params); // warm-up
-            let start = Instant::now();
-            let out = fraig(&fg, &params);
-            let wall_s = start.elapsed().as_secs_f64();
-            let snap = reg.snapshot();
-            let gauge = |k: &str| snap.value(k).unwrap_or(0);
-            fraig_rows.push(FraigRow {
-                bits,
-                threads,
-                shards,
-                sim_engine: if compiled_sim {
-                    "compiled"
-                } else {
-                    "interpreter"
-                },
-                wall_s,
-                sat_calls: gauge("sweep.stats.sat_calls"),
-                proved: gauge("sweep.stats.proved"),
-                disproved: gauge("sweep.stats.disproved"),
-                rounds: gauge("sweep.stats.rounds"),
-                deadline_interrupts: gauge("sweep.stats.deadline_interrupts"),
-                shard_failures: gauge("sweep.stats.shard_failures"),
-                ands_out: out.aig.num_ands(),
-            });
+        // Per-row registry: row telemetry is read back from the published
+        // `sweep.stats.*` gauges — the same export path the CLI prints —
+        // not from the returned stats struct. The warm-up publishes too;
+        // last-write-wins leaves the timed run.
+        let reg = obs::Registry::metrics_only();
+        let params = FraigParams {
+            obs: reg.clone(),
+            ..FraigParams::default()
         };
-        // Trajectory rows (threads=1, one oracle), one per sim engine —
-        // the simulation matrices are bit-identical, so the sweep stats
-        // must agree row-to-row; the wall gap is the sim engine's share.
-        run(1, 1, false);
-        run(1, 1, true);
-        for &threads in &thread_counts {
-            run(threads, pinned_shards, true);
-        }
+        let warm_up = fraig(&fg, &params);
+        let start = Instant::now();
+        let out = fraig(&fg, &params);
+        let wall_s = start.elapsed().as_secs_f64();
+        let snap = reg.snapshot();
+        let gauge = |k: &str| snap.value(k).unwrap_or(0);
+        fraig_rows.push(FraigRow {
+            bits,
+            wall_s,
+            sat_calls: gauge("sweep.stats.sat_calls"),
+            proved: gauge("sweep.stats.proved"),
+            disproved: gauge("sweep.stats.disproved"),
+            rounds: gauge("sweep.stats.rounds"),
+            deadline_interrupts: gauge("sweep.stats.deadline_interrupts"),
+            oracle_failures: gauge("sweep.stats.oracle_failures"),
+            ands_out: out.aig.num_ands(),
+            repeat_identical: warm_up.stats == out.stats
+                && warm_up.aig.num_ands() == out.aig.num_ands(),
+        });
     }
 
     // --- BMC depth sweep: incremental engine vs monolithic baseline -----
@@ -627,12 +596,11 @@ fn main() {
     for (i, r) in sim_rows.iter().enumerate() {
         let _ = writeln!(
             json,
-            "    {{\"nodes\": {}, \"words\": {}, \"reps\": {}, \"engine\": \"{}\", \"threads\": {}, \"wall_s\": {:.6}, \"words_simulated\": {}, \"words_per_sec\": {:.0}, \"checksum\": {}}}{}",
+            "    {{\"nodes\": {}, \"words\": {}, \"reps\": {}, \"engine\": \"{}\", \"wall_s\": {:.6}, \"words_simulated\": {}, \"words_per_sec\": {:.0}, \"checksum\": {}}}{}",
             g.num_nodes(),
             sim_words,
             sim_reps,
             r.engine,
-            r.threads,
             r.wall_s,
             r.words_simulated,
             r.words_per_sec,
@@ -645,11 +613,8 @@ fn main() {
     for (i, r) in fraig_rows.iter().enumerate() {
         let _ = writeln!(
             json,
-            "    {{\"bits\": {}, \"threads\": {}, \"shards\": {}, \"sim_engine\": \"{}\", \"wall_s\": {:.6}, \"sat_calls\": {}, \"proved\": {}, \"disproved\": {}, \"rounds\": {}, \"ands_out\": {}, \"deadline_interrupts\": {}, \"shard_failures\": {}}}{}",
+            "    {{\"bits\": {}, \"wall_s\": {:.6}, \"sat_calls\": {}, \"proved\": {}, \"disproved\": {}, \"rounds\": {}, \"ands_out\": {}, \"deadline_interrupts\": {}, \"oracle_failures\": {}, \"repeat_identical\": {}}}{}",
             r.bits,
-            r.threads,
-            r.shards,
-            r.sim_engine,
             r.wall_s,
             r.sat_calls,
             r.proved,
@@ -657,7 +622,8 @@ fn main() {
             r.rounds,
             r.ands_out,
             r.deadline_interrupts,
-            r.shard_failures,
+            r.oracle_failures,
+            r.repeat_identical,
             if i + 1 < fraig_rows.len() { "," } else { "" }
         );
     }
@@ -698,11 +664,11 @@ fn main() {
         );
     }
     json.push_str("  ],\n");
-    // Single-thread compiled-vs-interpreter speedup: the PR 6 headline.
+    // Compiled-vs-interpreter speedup (both single-threaded).
     let words_1t = |engine: &str| {
         sim_rows
             .iter()
-            .find(|r| r.engine == engine && r.threads == thread_counts[0])
+            .find(|r| r.engine == engine)
             .map_or(0.0, |r| r.words_per_sec)
     };
     // Failure telemetry: a healthy, unthrottled bench run reports zeros
@@ -714,7 +680,7 @@ fn main() {
         .chain(fraig_rows.iter().map(|r| r.deadline_interrupts))
         .sum();
     let total_cancellations: u64 = solver_rows.iter().map(|r| r.cancellations).sum();
-    let total_shard_failures: u64 = fraig_rows.iter().map(|r| r.shard_failures).sum();
+    let total_oracle_failures: u64 = fraig_rows.iter().map(|r| r.oracle_failures).sum();
     let serve_wall: f64 = serve_rows.iter().map(|r| r.wall_s).sum();
     let serve_hits: u64 = serve_rows.iter().map(|r| r.cache_hits).sum();
     let serve_total_queries: u64 = serve_rows.iter().map(|r| r.queries as u64).sum();
@@ -723,7 +689,7 @@ fn main() {
     let serve_failures: u64 = serve_rows.iter().map(|r| r.failures).sum();
     let _ = writeln!(
         json,
-        "  \"totals\": {{\"wall_s\": {:.6}, \"propagations_per_sec\": {:.0}, \"words_per_sec\": {:.0}, \"compiled_words_per_sec\": {:.0}, \"compiled_speedup_1t\": {:.3}, \"deadline_interrupts\": {}, \"cancellations\": {}, \"shard_failures\": {}, \"serve_cache_hit_rate\": {:.4}, \"serve_retries\": {}, \"serve_sheds\": {}, \"serve_failures\": {}}}",
+        "  \"totals\": {{\"wall_s\": {:.6}, \"propagations_per_sec\": {:.0}, \"words_per_sec\": {:.0}, \"compiled_words_per_sec\": {:.0}, \"compiled_speedup_1t\": {:.3}, \"deadline_interrupts\": {}, \"cancellations\": {}, \"oracle_failures\": {}, \"serve_cache_hit_rate\": {:.4}, \"serve_retries\": {}, \"serve_sheds\": {}, \"serve_failures\": {}}}",
         total_solver_wall + sim_wall + fraig_wall + bmc_row.incremental_wall_s
             + bmc_row.monolithic_wall_s + serve_wall,
         total_props as f64 / total_solver_wall.max(1e-9),
@@ -732,7 +698,7 @@ fn main() {
         words_1t("compiled") / words_1t("interpreter").max(1e-9),
         total_deadline_interrupts,
         total_cancellations,
-        total_shard_failures,
+        total_oracle_failures,
         serve_hits as f64 / (serve_total_queries as f64).max(1.0),
         serve_retries,
         serve_sheds,

@@ -599,7 +599,7 @@ fn run_fraig(path: &str, args: &[String]) -> Result<ExitCode, String> {
         &[
             ("sat_calls", s.sat_calls),
             ("deadline_interrupts", s.deadline_interrupts),
-            ("shard_failures", s.shard_failures),
+            ("oracle_failures", s.oracle_failures),
         ],
     );
     obs_cli.finish()?;

@@ -603,10 +603,7 @@ mod tests {
         let m = counter(3);
         for pre in [
             Preprocess::Synth(synth::Recipe::size_script()),
-            Preprocess::Sweep(sweep::FraigParams {
-                threads: 1,
-                ..sweep::FraigParams::default()
-            }),
+            Preprocess::Sweep(sweep::FraigParams::default()),
         ] {
             let mut engine = BmcEngine::new(
                 &m,

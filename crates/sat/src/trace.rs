@@ -41,8 +41,8 @@ impl std::fmt::Debug for SolverTrace {
     }
 }
 
-/// Cloning a solver (serve clones a base solver per attempt, sweep forks
-/// oracles across shards) must not duplicate an open span: the clone
+/// Cloning a solver (serve clones a base solver per attempt, sweep clones
+/// its oracle from a base solver) must not duplicate an open span: the clone
 /// starts with no in-flight solve and shares the metric cells.
 impl Clone for SolverTrace {
     fn clone(&self) -> SolverTrace {

@@ -26,8 +26,8 @@
 //! - **Budget exhaustion** (`Unknown`): retried with a ×`budget_escalation`
 //!   conflict budget after a deterministically jittered exponential
 //!   backoff, up to `max_attempts`, then answered `Unknown(Budget)`.
-//! - **Worker panic**: contained with `catch_unwind` exactly like
-//!   `sweep::pool` shards; the job is retried on a fresh clone of the base
+//! - **Worker panic**: contained with `catch_unwind`, like a panicked
+//!   `sweep::fraig` query; the job is retried on a fresh clone of the base
 //!   solver up to `panic_retries`, then answered `Failed`. The panicking
 //!   attempt can never corrupt other queries — solver state is per-attempt.
 //! - **Cancellation**: one root token fans out to per-query children
@@ -70,8 +70,7 @@ pub enum Admission {
 /// Engine tuning knobs.
 #[derive(Clone, Debug)]
 pub struct EngineConfig {
-    /// Worker threads; `0` = one per available core (like
-    /// `sweep::pool::resolve_threads`).
+    /// Worker threads; `0` = one per available core.
     pub workers: usize,
     /// Maximum queued (not yet running) queries before admission control
     /// kicks in.
@@ -395,7 +394,9 @@ struct Shared {
     queue_wait: obs::Histogram,
 }
 
-/// The solver-as-a-service engine. See the [module docs](self).
+/// The solver-as-a-service engine: a bounded query queue served by a
+/// worker pool, with retries, cancellation and a verified verdict cache
+/// (see the crate docs).
 pub struct Engine {
     shared: Arc<Shared>,
     rx: Mutex<Receiver<Response>>,
@@ -417,7 +418,7 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().expect("serve engine mutex poisoned")
 }
 
-/// Same mix as `sweep::pool` uses for chaos rolls; here it only feeds the
+/// Same mix as `sweep::ChaosPlan` uses for its rolls; here it only feeds the
 /// retry-backoff jitter, so determinism (not quality) is what matters.
 fn splitmix64(mut x: u64) -> u64 {
     x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
@@ -426,10 +427,20 @@ fn splitmix64(mut x: u64) -> u64 {
     x ^ (x >> 31)
 }
 
+/// Resolves a worker-count knob: `0` means one worker per available core,
+/// any other value is taken as is.
+fn resolve_threads(threads: usize) -> usize {
+    if threads == 0 {
+        thread::available_parallelism().map_or(1, |n| n.get())
+    } else {
+        threads
+    }
+}
+
 impl Engine {
     /// Starts the worker pool. Workers idle until queries arrive.
     pub fn new(cfg: EngineConfig) -> Engine {
-        let resolved_workers = sweep::pool::resolve_threads(cfg.workers);
+        let resolved_workers = resolve_threads(cfg.workers);
         let mut solver_cfg = cfg.solver.clone();
         solver_cfg.proof = true;
         let base = Solver::from_cnf(&cnf::Cnf::new(), solver_cfg);
@@ -910,5 +921,17 @@ impl Shared {
             attempts: job.attempt,
             wall,
         });
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn resolve_threads_floors_and_autodetects() {
+        assert!(resolve_threads(0) >= 1);
+        assert_eq!(resolve_threads(3), 3);
+        assert_eq!(resolve_threads(1), 1);
     }
 }

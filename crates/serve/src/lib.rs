@@ -12,7 +12,8 @@
 //! - [`sat::Solver`]'s cheap [`Clone`]: every attempt runs on a fresh clone
 //!   of one shared warm base solver, so a panicking or cancelled attempt
 //!   can never corrupt anyone else's state — containment by construction,
-//!   the same idiom as `sweep::pool`'s sharded oracles.
+//!   the same idiom as the `sweep` oracle, which a panicked query rebuilds
+//!   from its base solver.
 //! - [`sat::Cancellation`]'s token tree: one engine-root token fans out to
 //!   per-query children, so shutdown interrupts everything while a single
 //!   query can still be cancelled (or retried) alone.

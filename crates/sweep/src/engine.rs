@@ -1,23 +1,18 @@
 //! The fraig engine: simulate, conjecture, SAT-prove, merge, rebuild.
 //!
-//! Since PR 4 the engine is multi-threaded end-to-end: each round's
-//! candidate pairs are proved on **sharded** SAT oracles running on worker
-//! threads, and resimulation splits its word-columns across cores. Pair `i`
-//! of a round is always proved on oracle `i % shards` in ascending order,
-//! and results are merged in pair-index order — so for a pinned shard
-//! count the outcome is bit-identical for every thread count (see
-//! [`FraigParams::shards`] for the default's shards-follow-threads
-//! trade-off).
+//! Each round resimulates the graph on the compiled simulator, collects
+//! its candidate pairs into a fixed list, and proves them in index order
+//! on one incremental oracle. Every query runs under `catch_unwind`: a
+//! panicked query answers `Undecided`, and the next query rebuilds the
+//! oracle from the base solver.
 
+use crate::chaos::{ChaosPlan, Fault};
 use crate::classes::candidate_classes;
-use crate::pool::{resolve_threads, run_sharded, ChaosPlan, Fault};
-use aig::sim::{
-    random_columns_par, random_columns_prog, simulate_columns_par, simulate_columns_prog,
-    SimVectors,
-};
+use aig::sim::{random_columns_prog, simulate_columns_prog, SimVectors};
 use aig::{Aig, Lit, SimProgram, Var};
 use cnf::{tseitin, CnfLit, VarMap};
 use sat::{Budget, SolveResult, Solver, SolverConfig};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::Instant;
 
 /// Tuning knobs for [`fraig`].
@@ -34,58 +29,14 @@ pub struct FraigParams {
     pub max_checks_per_node: usize,
     /// Simulation seed.
     pub seed: u64,
-    /// Worker threads for SAT queries and resimulation. `0` (the default)
-    /// means one per available core, `1` runs fully sequentially — no
-    /// spawns, no channels. For a fixed [`FraigParams::shards`] value the
-    /// *outcome* is identical for every thread count: work assignment is
-    /// fixed by the shard layout, threads only decide how much of it runs
-    /// concurrently.
-    pub threads: usize,
-    /// Logical oracle shards. Pair `i` of a round is always proved on
-    /// oracle `i % shards`, whatever `threads` is, so every oracle sees the
-    /// same query sequence (and returns the same answers, counterexamples
-    /// included) on one core or many — pin this and the result is
-    /// bit-identical from one thread to many. `0` (the default) tracks the
-    /// resolved thread count: each worker gets one oracle, which maximises
-    /// learnt-clause reuse (`threads: 1, shards: 0` *is* the classic
-    /// single-oracle sweep), at the price of the outcome varying with the
-    /// machine's parallelism. Effective parallelism is capped by the shard
-    /// count.
-    pub shards: usize,
-    /// Warm-start the shard oracles: at the start of every round after the
-    /// first, every shard's solver is re-forked (cloned, learnt clauses
-    /// and heuristic state included) from the *seasoned* shard-0 oracle
-    /// instead of keeping its own isolated lineage off the cold base
-    /// solver. This shares one shard's lemmas with all of them each round,
-    /// attacking the per-shard lemma re-learning overhead that sharding
-    /// introduces.
-    ///
-    /// Deterministic for a pinned shard count (shard 0's query sequence is
-    /// thread-independent). Has no effect with a single shard, so the
-    /// `threads: 1` classic path stays bit-identical whatever this is set
-    /// to. Default `false`.
-    pub warm_start: bool,
-    /// Drive per-round resimulation through the compiled engine
-    /// ([`aig::SimProgram`]): the graph is lowered once per sweep into
-    /// flat fused-op bytecode and every random/replay column runs through
-    /// it, instead of the interpretive node-array walk. The compiled
-    /// full-mode program writes the signature matrix bit-identically to
-    /// the interpreter (same per-block RNG streams, same rows), so the
-    /// sweep's outcome — classes, queries, merges, stats — is unchanged;
-    /// only the resimulation throughput differs. The interpreter path is
-    /// kept as a differential oracle (`compiled_sim: false`, exercised by
-    /// CI). Default `true`.
-    pub compiled_sim: bool,
     /// Whole-sweep wall-clock deadline. Once passed, the round loop exits
     /// before starting another round, and in-flight SAT queries are
     /// interrupted by the solver's own deadline check — either way the
     /// partial result is sound: merges proved so far are kept, remaining
     /// pairs stay `Undecided`, and the cut is recorded in
     /// [`FraigStats::deadline_interrupts`]. `None` (the default) never
-    /// interrupts. Unlike the other knobs a deadline is inherently
-    /// schedule-dependent, so a deadlined sweep waives the thread-count
-    /// bit-identity contract (a pinned-shard run still stays sound and
-    /// deterministic *given* where the cut lands).
+    /// interrupts. A deadline is the one knob that depends on wall time,
+    /// so a deadlined sweep is sound but not reproducible run to run.
     pub deadline: Option<Instant>,
     /// Deterministic fault-injection plan (test harness). `None` — the
     /// default and the production setting — injects nothing and leaves
@@ -94,14 +45,17 @@ pub struct FraigParams {
     /// Checked mode: every oracle runs with proof logging on, and every
     /// UNSAT answer — the verdicts merges rest on — is verified by the
     /// independent `checker` crate before the merge is accepted; a
-    /// rejected certificate panics the sweep. Each verification re-checks
-    /// the shard's cumulative log, so this is a test-harness/audit mode,
+    /// rejected certificate panics the query, which is contained like any
+    /// oracle panic (the pair stays unmerged and counts in
+    /// [`FraigStats::oracle_failures`]). Each verification re-checks
+    /// the oracle's cumulative log, so this is a test-harness/audit mode,
     /// not a production default. Default `false`.
     pub certify: bool,
     /// Observability domain: the sweep runs under a `sweep.fraig` span
-    /// with per-round and per-shard children, per-round pair counts feed
-    /// the `sweep.round.pairs` histogram, shard oracles report `sat.*`
-    /// counters, and [`FraigStats`] is published as `sweep.stats.*`
+    /// with one `sweep.round` child per round, under which the oracle's
+    /// solver opens its `sat.solve` spans and reports `sat.*` counters;
+    /// per-round pair counts feed the `sweep.round.pairs` histogram, and
+    /// [`FraigStats`] is published as `sweep.stats.*`
     /// gauges on completion. The default (disabled) registry keeps every
     /// probe to one branch. (This field is why `FraigParams` is `Clone`
     /// but no longer `Copy`.)
@@ -116,10 +70,6 @@ impl Default for FraigParams {
             max_rounds: 4,
             max_checks_per_node: 4,
             seed: 0x5eed_f4a1,
-            threads: 0,
-            shards: 0,
-            warm_start: false,
-            compiled_sim: true,
             deadline: None,
             chaos: None,
             certify: false,
@@ -139,7 +89,8 @@ pub struct FraigStats {
     pub proved: usize,
     /// Queries answered SAT (counterexample found, class split).
     pub disproved: usize,
-    /// Queries that ran out of budget (including those lost to faults).
+    /// Queries left undecided: out of budget, cut by the deadline, or
+    /// lost to an injected fault or a panic.
     pub unknown: usize,
     /// Counterexample patterns fed back into simulation.
     pub cex_patterns: usize,
@@ -147,9 +98,10 @@ pub struct FraigStats {
     /// by the sweep deadline, plus one if the round loop itself was cut
     /// before finishing.
     pub deadline_interrupts: u64,
-    /// Shard workers that panicked and were contained; their unanswered
-    /// pairs degraded to `Undecided` and their oracles were rebuilt.
-    pub shard_failures: u64,
+    /// Queries that panicked and were contained: each answered
+    /// `Undecided`, and the oracle was rebuilt from the base solver for
+    /// the next query.
+    pub oracle_failures: u64,
     /// UNSAT merge verdicts verified by the independent proof checker
     /// (equals `proved` when [`FraigParams::certify`] is on; 0 otherwise).
     pub certified: u64,
@@ -170,7 +122,7 @@ impl FraigStats {
         reg.set_gauge("sweep.stats.unknown", self.unknown as u64);
         reg.set_gauge("sweep.stats.cex_patterns", self.cex_patterns as u64);
         reg.set_gauge("sweep.stats.deadline_interrupts", self.deadline_interrupts);
-        reg.set_gauge("sweep.stats.shard_failures", self.shard_failures);
+        reg.set_gauge("sweep.stats.oracle_failures", self.oracle_failures);
         reg.set_gauge("sweep.stats.certified", self.certified);
     }
 }
@@ -200,12 +152,9 @@ struct PairTask {
 /// `a ⊕ b` over the *original* graph, so substitutions compose soundly in
 /// any order. Budget exhaustion only loses reductions, never correctness.
 ///
-/// The run is deterministic for a fixed seed, and for a **pinned shard
-/// count** it is independent of the thread count: candidate pairs are
-/// assigned to logical oracle shards by index, each shard's query sequence
-/// is fixed, and per-round results are applied in pair order whatever
-/// order they arrive in. The default `shards: 0` trades that invariance
-/// for throughput by giving every worker thread its own oracle.
+/// The run is sequential and deterministic: without a deadline, the same
+/// graph and parameters give the same merges, statistics and output graph
+/// on every machine.
 ///
 /// ```
 /// use aig::Aig;
@@ -221,20 +170,14 @@ struct PairTask {
 pub fn fraig(aig: &Aig, params: &FraigParams) -> FraigOutcome {
     let mut stats = FraigStats::default();
     let n = aig.num_nodes();
-    let threads = resolve_threads(params.threads);
-    let shards = if params.shards == 0 {
-        threads
-    } else {
-        params.shards
-    };
     let reach = aig.reachable_from_pos();
     let (base_cnf, vmap) = tseitin(aig);
-    // The Tseitin encoding is normalised into a solver once; each oracle
-    // shard then *clones* that base solver — a flat memcpy of the arena and
-    // watcher lists — instead of re-adding every clause. Learnt clauses
-    // carry over between a shard's queries; per-query miter gadgets are
-    // guarded by activation literals (assumed for the query, retired by a
-    // unit).
+    // The Tseitin encoding is normalised into a solver once; the oracle
+    // then *clones* that base solver — a flat memcpy of the arena and
+    // watcher lists — so rebuilding it after a panicked query never
+    // re-normalises the CNF. Learnt clauses carry over between queries;
+    // per-query miter gadgets are guarded by activation literals (assumed
+    // for the query, retired by a unit).
     let base_solver = Solver::from_cnf(
         &base_cnf,
         SolverConfig {
@@ -243,7 +186,9 @@ pub fn fraig(aig: &Aig, params: &FraigParams) -> FraigOutcome {
         },
     );
     let base_vars = base_cnf.num_vars();
-    let mut oracles: Vec<Option<PairOracle>> = (0..shards).map(|_| None).collect();
+    // Built lazily (a sweep without candidates never pays for it) and
+    // dropped after a panicked query.
+    let mut oracle: Option<PairOracle> = None;
 
     // equiv[v] = Some(l): node v is equivalent to old-graph literal l
     // (l.var() < v). Chains are resolved during rebuild.
@@ -264,11 +209,8 @@ pub fn fraig(aig: &Aig, params: &FraigParams) -> FraigOutcome {
     let mut sigs = SimVectors::new();
     // The sweep never mutates the graph mid-run, so the compiled program
     // is built once and reused by every round's resimulation.
-    let prog = params.compiled_sim.then(|| SimProgram::full(aig));
-    let sweep_span = params.obs.span_with(
-        "sweep.fraig",
-        &[("nodes", n.into()), ("shards", shards.into())],
-    );
+    let prog = SimProgram::full(aig);
+    let sweep_span = params.obs.span_with("sweep.fraig", &[("nodes", n.into())]);
     let pairs_hist = params.obs.histogram("sweep.round.pairs");
     for round in 0..params.max_rounds {
         // Whole-sweep deadline: never start a round past it. Everything
@@ -282,15 +224,7 @@ pub fn fraig(aig: &Aig, params: &FraigParams) -> FraigOutcome {
         let round_span = sweep_span.child_with("sweep.round", &[("round", round.into())]);
         let proved_before = stats.proved;
         let disproved_before = stats.disproved;
-        simulate_round(
-            aig,
-            params,
-            round,
-            &cex_chunks,
-            &mut sigs,
-            threads,
-            prog.as_ref(),
-        );
+        simulate_round(&prog, params, round, &cex_chunks, &mut sigs);
 
         // Candidates: constant node + reachable, not-yet-merged PIs/ANDs.
         let members =
@@ -299,8 +233,7 @@ pub fn fraig(aig: &Aig, params: &FraigParams) -> FraigOutcome {
 
         // The round's query list, fixed up front: each node appears in at
         // most one class, so the filters below depend only on *previous*
-        // rounds — the list (and the shard assignment derived from it) is
-        // deterministic before any query runs.
+        // rounds — the list is deterministic before any query runs.
         let mut tasks: Vec<PairTask> = Vec::new();
         let mut checks = vec![0usize; n];
         for class in classes.classes() {
@@ -323,41 +256,11 @@ pub fn fraig(aig: &Aig, params: &FraigParams) -> FraigOutcome {
                 });
             }
         }
-
-        // Warm start: re-fork every other shard from the seasoned shard-0
-        // oracle (a memcpy, like cold construction) so this round's
-        // queries start from its accumulated learnt clauses instead of
-        // each shard's isolated lineage.
-        if params.warm_start && round > 0 && shards > 1 {
-            let (seasoned, rest) = oracles.split_first_mut().expect("shards >= 1");
-            if let Some(seasoned) = seasoned {
-                for slot in rest {
-                    *slot = Some(seasoned.clone());
-                }
-            }
-        }
-
-        // Prove the whole list on the sharded oracles (in parallel when
-        // threads allow), then merge the answers in pair-index order.
         stats.sat_calls += tasks.len() as u64;
         pairs_hist.observe(tasks.len() as u64);
-        let (answers, failed_shards) = prove_tasks(
-            &mut oracles,
-            &base_solver,
-            base_vars,
-            &vmap,
-            &tasks,
-            params,
-            round,
-            threads,
-            &round_span.handle(),
-        );
-        // A panicked shard's oracle is poisoned mid-query: drop it so the
-        // next round lazily rebuilds from the clean base solver. Its
-        // unanswered pairs surface as `Undecided` below.
-        stats.shard_failures += failed_shards.len() as u64;
-        for s in failed_shards {
-            oracles[s] = None;
+        // The oracle's solver spans hang under the current round.
+        if let Some(oracle) = oracle.as_mut() {
+            oracle.solver.set_observer(round_span.handle());
         }
 
         // This round's counterexamples, packed on the fly (bit j of
@@ -367,7 +270,32 @@ pub fn fraig(aig: &Aig, params: &FraigParams) -> FraigOutcome {
         let mut chunk = vec![0u64; aig.num_pis()];
         let mut chunk_len = 0u32;
         let mut fresh_dead: Vec<u64> = Vec::new();
-        for (task, answer) in tasks.iter().zip(&answers) {
+        for (i, task) in tasks.iter().enumerate() {
+            let fault = params.chaos.as_ref().and_then(|c| c.roll(round, i));
+            let answer = if fault == Some(Fault::Unknown) {
+                Answer::Undecided {
+                    deadline_interrupted: false,
+                }
+            } else {
+                // AssertUnwindSafe: a panicked query may leave the oracle
+                // half-mutated, so it is dropped below, never queried again.
+                let query = catch_unwind(AssertUnwindSafe(|| {
+                    if fault == Some(Fault::Panic) {
+                        panic!("chaos: injected oracle panic");
+                    }
+                    let oracle = oracle.get_or_insert_with(|| {
+                        PairOracle::new(&base_solver, base_vars, round_span.handle())
+                    });
+                    oracle.prove_pair(&vmap, task, params)
+                }));
+                query.unwrap_or_else(|_| {
+                    stats.oracle_failures += 1;
+                    oracle = None;
+                    Answer::Undecided {
+                        deadline_interrupted: false,
+                    }
+                })
+            };
             match answer {
                 Answer::Equivalent => {
                     stats.proved += 1;
@@ -382,8 +310,8 @@ pub fn fraig(aig: &Aig, params: &FraigParams) -> FraigOutcome {
                     stats.disproved += 1;
                     fresh_dead.push(pair_key(task.repr, task.member));
                     if chunk_len < 64 {
-                        for (i, &bit) in pattern.iter().enumerate() {
-                            chunk[i] |= (bit as u64) << chunk_len;
+                        for (pi, &bit) in pattern.iter().enumerate() {
+                            chunk[pi] |= (bit as u64) << chunk_len;
                         }
                         chunk_len += 1;
                     }
@@ -392,7 +320,7 @@ pub fn fraig(aig: &Aig, params: &FraigParams) -> FraigOutcome {
                     deadline_interrupted,
                 } => {
                     stats.unknown += 1;
-                    if *deadline_interrupted {
+                    if deadline_interrupted {
                         stats.deadline_interrupts += 1;
                     }
                     fresh_dead.push(pair_key(task.repr, task.member));
@@ -421,91 +349,6 @@ pub fn fraig(aig: &Aig, params: &FraigParams) -> FraigOutcome {
     }
 }
 
-/// Proves every task of one round on the sharded oracles and returns the
-/// answers in task order plus the indices of shards whose worker panicked.
-///
-/// Task `i` runs on oracle `i % shards`; within a shard, tasks run in
-/// ascending index order. Both facts are independent of `threads`, so each
-/// oracle's incremental state (learnt clauses, activities, budget clock)
-/// evolves identically however the shards are scheduled — the returned
-/// vector is bit-identical from one core to many. Workers stream
-/// `(index, answer)` pairs over a channel; [`run_sharded`] reassembles
-/// them into index order.
-///
-/// A shard panic (contained by the pool) loses that shard's remaining
-/// answers; the lost slots degrade to `Undecided` — the same sound
-/// "no answer" the budget path produces — so the merge loop never has to
-/// care how an answer went missing.
-#[allow(clippy::too_many_arguments)]
-fn prove_tasks(
-    oracles: &mut [Option<PairOracle>],
-    base_solver: &Solver,
-    base_vars: u32,
-    vmap: &VarMap,
-    tasks: &[PairTask],
-    params: &FraigParams,
-    round: usize,
-    threads: usize,
-    round_span: &obs::SpanHandle,
-) -> (Vec<Answer>, Vec<usize>) {
-    if tasks.is_empty() {
-        return (Vec::new(), Vec::new());
-    }
-    let shards = oracles.len();
-    let run = run_sharded(threads, oracles, tasks.len(), |s, oracle, emit| {
-        if s >= tasks.len() {
-            return;
-        }
-        // One `sweep.shard` span per shard per round; the oracle is
-        // re-parented under it each round (its previous round's shard
-        // span is closed by then, and a warm-start re-fork would have
-        // given it shard 0's handle anyway).
-        let shard_span = round_span.child_with("sweep.shard", &[("shard", s.into())]);
-        let mut observed = false;
-        let mut i = s;
-        while i < tasks.len() {
-            match params.chaos.as_ref().and_then(|c| c.roll(round, i)) {
-                Some(Fault::Unknown) => {
-                    emit(
-                        i,
-                        Answer::Undecided {
-                            deadline_interrupted: false,
-                        },
-                    );
-                    i += shards;
-                    continue;
-                }
-                Some(Fault::Panic) => panic!("chaos: injected shard-worker panic"),
-                None => {}
-            }
-            // Oracles are built lazily so tiny rounds never pay for
-            // shards they do not touch; first use is per-shard
-            // deterministic.
-            let oracle = oracle.get_or_insert_with(|| PairOracle::new(base_solver, base_vars));
-            if !observed {
-                oracle.solver.set_observer(shard_span.handle());
-                observed = true;
-            }
-            let task = &tasks[i];
-            emit(
-                i,
-                oracle.prove_pair(vmap, task.member, task.repr, task.phase, params),
-            );
-            i += shards;
-        }
-    });
-    let answers = run
-        .results
-        .into_iter()
-        .map(|a| {
-            a.unwrap_or(Answer::Undecided {
-                deadline_interrupted: false,
-            })
-        })
-        .collect();
-    (answers, run.failed_shards)
-}
-
 enum Answer {
     Equivalent,
     Different(Vec<bool>),
@@ -518,8 +361,6 @@ enum Answer {
 
 /// Incremental equivalence oracle: one CDCL solver holding the Tseitin
 /// encoding, queried per candidate pair through activation literals.
-/// `Clone` forks the full incremental state (the warm-start path).
-#[derive(Clone)]
 struct PairOracle {
     solver: Solver,
     /// Next fresh variable for activation literals.
@@ -528,29 +369,28 @@ struct PairOracle {
 
 impl PairOracle {
     /// Clones the pre-loaded base solver instead of re-normalising the
-    /// shared CNF — oracle construction is a memcpy, so sharding the
-    /// oracle pool does not multiply the encoding cost.
-    fn new(base_solver: &Solver, base_vars: u32) -> PairOracle {
+    /// shared CNF (a memcpy), with its spans parented under `span`.
+    fn new(base_solver: &Solver, base_vars: u32, span: obs::SpanHandle) -> PairOracle {
+        let mut solver = base_solver.clone();
+        solver.set_observer(span);
         PairOracle {
-            solver: base_solver.clone(),
+            solver,
             next_var: base_vars + 1,
         }
     }
 
     /// Budgeted SAT check of `member ≡ repr ⊕ phase` over the original
     /// graph. Learnt clauses persist across calls.
-    fn prove_pair(
-        &mut self,
-        vmap: &VarMap,
-        member: Var,
-        repr: Var,
-        phase: bool,
-        params: &FraigParams,
-    ) -> Answer {
+    fn prove_pair(&mut self, vmap: &VarMap, task: &PairTask, params: &FraigParams) -> Answer {
+        let PairTask {
+            repr,
+            member,
+            phase,
+        } = *task;
         let a = vmap
             .lit(Lit::from_var(member, false))
             .expect("member is PO-reachable, hence encoded");
-        // The conflict budget is cumulative on the shard's solver; the
+        // The conflict budget is cumulative on the oracle's solver; the
         // sweep deadline rides along so a mid-round cut interrupts the
         // remaining queries promptly instead of letting each burn its full
         // conflict allowance.
@@ -590,7 +430,6 @@ impl PairOracle {
         // binaries in the inline tier, long learnts churning through
         // reduction/GC between queries — so audit the two-tier
         // watcher/reason invariants after every query in debug builds.
-        // Under parallel sweeping this runs concurrently on every shard.
         #[cfg(debug_assertions)]
         self.solver.assert_integrity();
         match result {
@@ -664,43 +503,25 @@ fn rebuild(aig: &Aig, equiv: &[Option<Lit>]) -> Aig {
 }
 
 /// One round's signature matrix: `sim_words` fresh random columns plus one
-/// replayed column per accumulated counterexample chunk, all simulated
-/// directly into a single strided [`SimVectors`] buffer. Random columns go
-/// through the blocked path and the replayed chunks through the dense
-/// column path, both split across `threads` workers (the strided layout
-/// makes per-column writes disjoint).
-///
-/// When a compiled program is supplied ([`FraigParams::compiled_sim`]),
-/// both producers run the precompiled bytecode instead of the interpreter;
-/// the matrix is bit-identical either way (same block streams, full-mode
-/// program materialises every node row exactly as the interpreter does).
+/// replayed column per accumulated counterexample chunk, all run through
+/// the compiled program straight into a single strided [`SimVectors`]
+/// buffer.
 fn simulate_round(
-    aig: &Aig,
+    prog: &SimProgram,
     params: &FraigParams,
     round: usize,
     cex_chunks: &[Vec<u64>],
     sigs: &mut SimVectors,
-    threads: usize,
-    prog: Option<&SimProgram>,
 ) {
     // Reshape without zeroing: every column below is fully written.
-    sigs.reshape(aig.num_nodes(), params.sim_words + cex_chunks.len());
-    let seed = params.seed ^ round as u64;
+    sigs.reshape(prog.n_slots(), params.sim_words + cex_chunks.len());
+    random_columns_prog(prog, sigs, 0, params.sim_words, params.seed ^ round as u64);
     let jobs: Vec<(usize, &[u64])> = cex_chunks
         .iter()
         .enumerate()
         .map(|(k, chunk)| (params.sim_words + k, chunk.as_slice()))
         .collect();
-    match prog {
-        Some(prog) => {
-            random_columns_prog(prog, sigs, 0, params.sim_words, seed, threads);
-            simulate_columns_prog(prog, sigs, &jobs, threads);
-        }
-        None => {
-            random_columns_par(aig, sigs, 0, params.sim_words, seed, threads);
-            simulate_columns_par(aig, sigs, &jobs, threads);
-        }
-    }
+    simulate_columns_prog(prog, sigs, &jobs);
 }
 
 #[cfg(test)]
@@ -903,15 +724,13 @@ mod tests {
 
     #[test]
     fn chaos_panic_storm_is_contained() {
-        // Every query panics the worker: the sweep must still terminate
-        // with an equivalent graph, all pairs undecided, and the failures
-        // counted — the process-level contract behind the serve layer.
+        // Every query panics: the sweep must still terminate with an
+        // equivalent graph, all pairs undecided, and every failure counted
+        // — the process-level contract behind the serve layer.
         let g = equivalence_miter(4);
         let out = fraig(
             &g,
             &FraigParams {
-                threads: 1,
-                shards: 2,
                 chaos: Some(ChaosPlan {
                     seed: 7,
                     panic_in_1024: 1024,
@@ -920,8 +739,48 @@ mod tests {
                 ..FraigParams::default()
             },
         );
-        assert!(out.stats.shard_failures >= 1);
+        assert!(out.stats.oracle_failures >= 1);
+        assert_eq!(out.stats.oracle_failures, out.stats.sat_calls);
         assert_eq!(out.stats.proved, 0);
+        assert!(exhaustive_equiv(&g, &out.aig));
+    }
+
+    #[test]
+    fn one_panicked_query_loses_only_itself() {
+        // A single mid-round panic costs exactly its own pair: the oracle
+        // is rebuilt from the base solver and every later query of the
+        // round is still answered.
+        let g = equivalence_miter(4);
+        let clean = fraig(&g, &FraigParams::default());
+        assert_eq!(clean.stats.rounds, 1, "the clean sweep is one round");
+        let tasks = clean.stats.sat_calls as usize;
+        assert!(tasks >= 4, "need a round with several queries");
+        // First seed whose plan panics exactly one query of round 0, with
+        // at least two queries after it.
+        let plan = (0u64..)
+            .map(|seed| ChaosPlan {
+                seed,
+                panic_in_1024: 64,
+                ..ChaosPlan::default()
+            })
+            .find(|plan| {
+                let hits: Vec<usize> = (0..tasks)
+                    .filter(|&i| plan.roll(0, i) == Some(Fault::Panic))
+                    .collect();
+                hits.len() == 1 && hits[0] > 0 && hits[0] + 2 < tasks
+            })
+            .expect("some seed panics one mid-round query");
+        let out = fraig(
+            &g,
+            &FraigParams {
+                chaos: Some(plan),
+                ..FraigParams::default()
+            },
+        );
+        assert_eq!(out.stats.oracle_failures, 1);
+        assert_eq!(out.stats.sat_calls, clean.stats.sat_calls);
+        assert_eq!(out.stats.unknown, 1, "only the panicked query is lost");
+        assert_eq!(out.stats.proved, clean.stats.proved - 1);
         assert!(exhaustive_equiv(&g, &out.aig));
     }
 
@@ -937,180 +796,21 @@ mod tests {
     }
 
     #[test]
-    fn thread_count_does_not_change_the_outcome() {
-        // With the shard count pinned, the thread count is pure schedule.
+    fn repeat_runs_are_bit_identical() {
+        // Multi-block resimulation (17 words) and several rounds of
+        // counterexample replay (1 word): the same parameters must give
+        // the same stats and the same rebuilt graph every time.
         let g = equivalence_miter(5);
-        let outcomes: Vec<FraigOutcome> = [1usize, 2, 3, 4, 8]
-            .iter()
-            .map(|&threads| {
-                fraig(
-                    &g,
-                    &FraigParams {
-                        threads,
-                        shards: 4,
-                        sim_words: 17, // multiple blocks: exercises parallel resim
-                        ..FraigParams::default()
-                    },
-                )
-            })
-            .collect();
-        for (i, out) in outcomes.iter().enumerate().skip(1) {
-            assert_eq!(out.stats, outcomes[0].stats, "stats diverged at run {i}");
-            assert!(
-                same_aig(&out.aig, &outcomes[0].aig),
-                "graph diverged at {i}"
-            );
-        }
-        assert_eq!(outcomes[0].aig.pos()[0], Lit::FALSE);
-    }
-
-    #[test]
-    fn warm_start_is_correct_and_thread_invariant() {
-        // Warm-started sharding changes which lemmas each oracle holds,
-        // never the soundness: the outcome must stay equivalent, still be
-        // bit-identical across thread counts for a pinned shard count, and
-        // still collapse the miter.
-        let mut g = equivalence_miter(5);
-        // Extra near-equal pairs (differ on one minterm each) so starved
-        // simulation aliases them, SAT disproves them, and their
-        // counterexamples force a second round — the one warm start
-        // actually re-forks for.
-        let extra = g.add_pis(6);
-        let all = g.and_many(&extra);
-        let most = g.and_many(&extra[..5]);
-        let d = g.xor(all, most);
-        let po0 = g.pos()[0];
-        let both = g.or(po0, d);
-        g.set_po(0, both);
-        let outcomes: Vec<FraigOutcome> = [1usize, 2, 4, 8]
-            .iter()
-            .map(|&threads| {
-                fraig(
-                    &g,
-                    &FraigParams {
-                        threads,
-                        shards: 4,
-                        warm_start: true,
-                        sim_words: 1, // starve simulation so rounds carry SAT work
-                        ..FraigParams::default()
-                    },
-                )
-            })
-            .collect();
-        for (i, out) in outcomes.iter().enumerate().skip(1) {
-            assert_eq!(out.stats, outcomes[0].stats, "stats diverged at run {i}");
-            assert!(
-                same_aig(&out.aig, &outcomes[0].aig),
-                "graph diverged at {i}"
-            );
-        }
-        assert!(
-            sim_equiv(&g, &outcomes[0].aig, 16, 11),
-            "must stay equivalent"
-        );
-        assert!(outcomes[0].stats.rounds > 1, "warm start needs a 2nd round");
-        assert!(
-            outcomes[0].stats.disproved > 0,
-            "near-equal pairs must split"
-        );
-    }
-
-    #[test]
-    fn compiled_sim_engine_does_not_change_the_outcome() {
-        // The compiled full-mode program fills the signature matrix
-        // bit-identically to the interpreter, so the whole sweep —
-        // classes, query order, counterexamples, merges — must be
-        // bit-identical with the engine on or off.
-        let g = equivalence_miter(5);
-        for (threads, sim_words) in [(1usize, 17usize), (4, 17), (1, 1)] {
-            let base = FraigParams {
-                threads,
-                shards: 2,
+        for sim_words in [17usize, 1] {
+            let params = FraigParams {
                 sim_words,
                 ..FraigParams::default()
             };
-            let compiled = fraig(
-                &g,
-                &FraigParams {
-                    compiled_sim: true,
-                    ..base.clone()
-                },
-            );
-            let interp = fraig(
-                &g,
-                &FraigParams {
-                    compiled_sim: false,
-                    ..base
-                },
-            );
-            assert_eq!(
-                compiled.stats, interp.stats,
-                "threads={threads} sim_words={sim_words}"
-            );
-            assert!(same_aig(&compiled.aig, &interp.aig));
+            let first = fraig(&g, &params);
+            let second = fraig(&g, &params);
+            assert_eq!(first.stats, second.stats, "sim_words={sim_words}");
+            assert!(same_aig(&first.aig, &second.aig));
+            assert_eq!(first.aig.pos()[0], Lit::FALSE);
         }
-    }
-
-    #[test]
-    fn warm_start_is_identity_on_the_classic_path() {
-        // With a single shard there is nothing to re-fork: the flag must
-        // leave the classic threads=1 sweep bit-identical.
-        let g = equivalence_miter(4);
-        let classic = fraig(
-            &g,
-            &FraigParams {
-                threads: 1,
-                ..FraigParams::default()
-            },
-        );
-        let flagged = fraig(
-            &g,
-            &FraigParams {
-                threads: 1,
-                warm_start: true,
-                ..FraigParams::default()
-            },
-        );
-        assert_eq!(classic.stats, flagged.stats);
-        assert!(same_aig(&classic.aig, &flagged.aig));
-    }
-
-    #[test]
-    fn single_shard_matches_the_classic_sequential_sweep() {
-        // Different shard counts are *allowed* to produce different (still
-        // correct) outcomes; every configuration must stay equivalent to
-        // the input, and shards=0 must track the thread count.
-        let g = equivalence_miter(4);
-        for shards in [0usize, 1, 2, 8] {
-            let out = fraig(
-                &g,
-                &FraigParams {
-                    shards,
-                    threads: 2,
-                    ..FraigParams::default()
-                },
-            );
-            assert_eq!(out.aig.pos()[0], Lit::FALSE, "shards={shards}");
-        }
-        // threads=1, shards=0 is the classic single-oracle sweep: one
-        // solver, every pair in order — same outcome as an explicit
-        // single shard at any thread count.
-        let classic = fraig(
-            &g,
-            &FraigParams {
-                threads: 1,
-                ..FraigParams::default()
-            },
-        );
-        let one_shard = fraig(
-            &g,
-            &FraigParams {
-                threads: 4,
-                shards: 1,
-                ..FraigParams::default()
-            },
-        );
-        assert_eq!(classic.stats, one_shard.stats);
-        assert!(same_aig(&classic.aig, &one_shard.aig));
     }
 }

@@ -15,11 +15,12 @@
 //! as an optional preprocessing stage ahead of the cost-customised LUT
 //! mapping.
 //!
-//! The engine is multi-threaded: SAT queries run on sharded incremental
-//! oracles and resimulation splits its word-columns across cores, with a
-//! determinism contract — pin [`FraigParams::shards`] and the outcome is
-//! bit-identical for any thread count (see [`pool`] for the scaffolding
-//! and the README's "Concurrency model" section for the design).
+//! The engine is sequential: one incremental SAT oracle proves each
+//! round's candidate pairs in index order on the caller's thread, and
+//! resimulation runs the compiled simulator ([`aig::SimProgram`]).
+//! Without a deadline, the outcome is a pure function of the graph and
+//! [`FraigParams`]. The README's "Parallelism" section gives the
+//! measurements behind the sequential design.
 //!
 //! ```
 //! use aig::Aig;
@@ -46,10 +47,10 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
+mod chaos;
 mod classes;
 mod engine;
-pub mod pool;
 
+pub use chaos::{ChaosPlan, Fault};
 pub use classes::{candidate_classes, ClassMember, SigClasses};
 pub use engine::{fraig, FraigOutcome, FraigParams, FraigStats};
-pub use pool::{ChaosPlan, Fault};

@@ -2,30 +2,27 @@
 //!
 //! The compiled engine ([`aig::SimProgram`]) lowers an AIG into a flat
 //! levelized program of fused word-ops; the block interpreter
-//! ([`aig::sim::random_columns_par`] and friends) walks the graph per
-//! block. Both must produce *bit-identical* signature matrices from the
-//! same per-block RNG streams — the sweeper's equivalence-class
-//! refinement depends on it, and `FraigParams::compiled_sim` switches
-//! engines on the promise that nothing downstream can tell. These tests
-//! are the promise's enforcement:
+//! ([`aig::sim::random_columns`] and [`aig::sim::SimVectors::simulate_column`])
+//! walks the graph per block and is kept as the independent reference.
+//! Both must produce *bit-identical* signature matrices from the same
+//! per-block RNG streams — the sweeper resimulates on the compiled engine
+//! only, so these tests are what ties its equivalence classes to the
+//! plain graph semantics:
 //!
-//! * random AIGs: compiled full-mode matrix == interpreter matrix,
-//!   across thread counts (1/2/4), with equal whole-matrix checksums;
+//! * random AIGs: compiled full-mode matrix == interpreter matrix, with
+//!   equal whole-matrix checksums;
 //! * adversarial edge shapes (constant POs, PI passthroughs, duplicated
 //!   and complemented POs, deep fanout-free chains that the outputs-only
 //!   compiler fuses into multi-input ops);
 //! * counterexample-style replay columns: `simulate_columns_prog` ==
-//!   `simulate_columns_par` on explicit PI patterns;
+//!   per-column `simulate_column` on explicit PI patterns;
 //! * the compiled sequential stepper: `SeqAig::simulate_words` lanes ==
 //!   64 independent step-by-step bool simulations (`unroll` + `eval` is
 //!   covered by `mc_differential`; here the oracle is per-frame `eval`
 //!   of the core, which shares no code with the stepper).
 
 use aig::seq::SeqAig;
-use aig::sim::{
-    random_columns_par, random_columns_prog, simulate_columns_par, simulate_columns_prog,
-    SimVectors,
-};
+use aig::sim::{random_columns, random_columns_prog, simulate_columns_prog, SimVectors};
 use aig::{Aig, Lit, SimProgram};
 use proptest::prelude::*;
 use workloads::random_aig::{random_aig, RandomAigParams};
@@ -43,23 +40,17 @@ fn random_graph(gates: usize, pis: usize, seed: u64) -> Aig {
 }
 
 /// Interpreter and compiled matrices for the same (seed, width) fill,
-/// asserting bit-identity and checksum equality across thread counts.
+/// asserting bit-identity and checksum equality.
 fn assert_fill_identical(g: &Aig, n_words: usize, seed: u64) {
     let prog = SimProgram::full(g);
     let mut reference = SimVectors::zero(g.num_nodes(), n_words);
-    random_columns_par(g, &mut reference, 0, n_words, seed, 1);
-    for threads in [1usize, 2, 4] {
-        let mut compiled = SimVectors::zero(g.num_nodes(), n_words);
-        random_columns_prog(&prog, &mut compiled, 0, n_words, seed, threads);
-        for v in 0..g.num_nodes() {
-            assert_eq!(
-                compiled.row(v),
-                reference.row(v),
-                "node {v} differs at {threads} threads"
-            );
-        }
-        assert_eq!(compiled.checksum(), reference.checksum());
+    random_columns(g, &mut reference, 0, n_words, seed);
+    let mut compiled = SimVectors::zero(g.num_nodes(), n_words);
+    random_columns_prog(&prog, &mut compiled, 0, n_words, seed);
+    for v in 0..g.num_nodes() {
+        assert_eq!(compiled.row(v), reference.row(v), "node {v} differs");
     }
+    assert_eq!(compiled.checksum(), reference.checksum());
 }
 
 /// Edge shapes the fold/fusion paths must survive: constant POs, PI
@@ -112,8 +103,7 @@ fn edge_shape_outputs_only_program_matches_eval() {
 
 proptest! {
     /// Compiled full-mode fills are bit-identical to the interpreter on
-    /// random AIGs, at thread counts 1/2/4, including the whole-matrix
-    /// checksum.
+    /// random AIGs, including the whole-matrix checksum.
     #[test]
     fn compiled_matches_interpreter_on_random_aigs(
         gates in 1usize..120,
@@ -125,7 +115,7 @@ proptest! {
     }
 
     /// Replay columns (explicit PI words, the sweeper's counterexample
-    /// path) agree between engines at every thread count.
+    /// path) agree between engines.
     #[test]
     fn compiled_replay_matches_interpreter(
         gates in 1usize..80,
@@ -144,13 +134,13 @@ proptest! {
             .map(|(w, p)| (w * 2, p.as_slice()))
             .collect();
         let mut reference = SimVectors::zero(g.num_nodes(), 6);
-        simulate_columns_par(&g, &mut reference, &jobs, 1);
-        for threads in [1usize, 2, 4] {
-            let mut compiled = SimVectors::zero(g.num_nodes(), 6);
-            simulate_columns_prog(&prog, &mut compiled, &jobs, threads);
-            for v in 0..g.num_nodes() {
-                prop_assert_eq!(compiled.row(v), reference.row(v));
-            }
+        for &(w, pi_words) in &jobs {
+            reference.simulate_column(&g, w, pi_words);
+        }
+        let mut compiled = SimVectors::zero(g.num_nodes(), 6);
+        simulate_columns_prog(&prog, &mut compiled, &jobs);
+        for v in 0..g.num_nodes() {
+            prop_assert_eq!(compiled.row(v), reference.row(v));
         }
     }
 

@@ -1,17 +1,17 @@
 //! Deterministic fault-injection harness for the resource-governance
 //! layer: chaos-seeded Unknown storms, worker panics, and round
-//! starvation inside the parallel sweep, plus cross-thread cancellation
+//! starvation inside the sweep, plus cross-thread cancellation
 //! and deadline interruption of the CDCL solver. The invariants under
 //! test are the soundness half of the robustness contract:
 //!
 //! * a faulted sweep still returns, and its output is functionally
 //!   equivalent to the input (faults lose merges, never correctness);
 //! * fault plans are pure functions of `(seed, round, task)`, so a
-//!   chaos run is thread-count-invariant for a pinned shard count;
+//!   chaos run repeats exactly;
 //! * deterministic round starvation only ever *removes* merges relative
 //!   to the fault-free run (merge subset);
-//! * a panicking shard is contained: reported in `shard_failures`, its
-//!   pairs degraded to undecided, the process never aborts;
+//! * a panicking query is contained: reported in `oracle_failures`, its
+//!   pair degraded to undecided, the process never aborts;
 //! * a cancelled or deadline-cut solver returns `Unknown` promptly with
 //!   its incremental state intact — the follow-up unthrottled solve on
 //!   the *same* solver agrees with a fresh one.
@@ -40,24 +40,23 @@ fn test_miter(seed: u64, n_gates: usize) -> aig::Aig {
 
 proptest! {
     /// Unknown storms at a random rate: whatever queries the chaos eats,
-    /// the sweep must terminate with an equivalent graph, and the
-    /// outcome must be identical at 1 and 4 threads (fault rolls are
-    /// functions of (seed, round, task), never of the schedule).
+    /// the sweep must terminate with an equivalent graph, and a repeat
+    /// run must match it exactly (fault rolls are functions of
+    /// (seed, round, task) alone).
     #[test]
-    fn unknown_storm_is_sound_and_thread_invariant(
+    fn unknown_storm_is_sound_and_deterministic(
         seed in 0u64..10_000,
         rate in 0u16..1025,
     ) {
         let m = test_miter(seed, 60);
-        let base = FraigParams {
-            shards: 4,
+        let params = FraigParams {
             chaos: Some(ChaosPlan { seed, unknown_in_1024: rate, ..ChaosPlan::default() }),
             ..FraigParams::default()
         };
-        let seq = fraig(&m, &FraigParams { threads: 1, ..base.clone() });
-        let par = fraig(&m, &FraigParams { threads: 4, ..base.clone() });
-        prop_assert_eq!(&seq.stats, &par.stats, "chaos run diverged across thread counts");
-        prop_assert!(exhaustive_equiv(&m, &seq.aig), "faulted sweep must stay equivalent");
+        let first = fraig(&m, &params);
+        let second = fraig(&m, &params);
+        prop_assert_eq!(&first.stats, &second.stats, "chaos run diverged on repeat");
+        prop_assert!(exhaustive_equiv(&m, &first.aig), "faulted sweep must stay equivalent");
     }
 
     /// Deterministic round starvation (every query Unknown from round r
@@ -67,7 +66,7 @@ proptest! {
     #[test]
     fn round_starvation_merges_are_a_subset(seed in 0u64..10_000, from in 0usize..4) {
         let m = test_miter(seed, 50);
-        let base = FraigParams { shards: 2, threads: 1, ..FraigParams::default() };
+        let base = FraigParams::default();
         let free = fraig(&m, &base);
         let starved = fraig(&m, &FraigParams {
             chaos: Some(ChaosPlan { seed, starve_from_round: Some(from), ..ChaosPlan::default() }),
@@ -82,21 +81,20 @@ proptest! {
         }
     }
 
-    /// Worker panics at a random rate: contained, reported, sound, and
-    /// thread-count-invariant. The process-level assertion is implicit —
-    /// an escaped panic would abort the test binary.
+    /// Query panics at a random rate: contained, reported, sound, and
+    /// repeatable. The process-level assertion is implicit — an escaped
+    /// panic would abort the test binary.
     #[test]
-    fn panic_storm_is_contained_and_thread_invariant(seed in 0u64..10_000) {
+    fn panic_storm_is_contained_and_deterministic(seed in 0u64..10_000) {
         let m = test_miter(seed, 40);
-        let base = FraigParams {
-            shards: 4,
+        let params = FraigParams {
             chaos: Some(ChaosPlan { seed, panic_in_1024: 300, ..ChaosPlan::default() }),
             ..FraigParams::default()
         };
-        let seq = fraig(&m, &FraigParams { threads: 1, ..base.clone() });
-        let par = fraig(&m, &FraigParams { threads: 4, ..base.clone() });
-        prop_assert_eq!(&seq.stats, &par.stats, "panic containment diverged across threads");
-        prop_assert!(exhaustive_equiv(&m, &seq.aig));
+        let first = fraig(&m, &params);
+        let second = fraig(&m, &params);
+        prop_assert_eq!(&first.stats, &second.stats, "panic containment diverged on repeat");
+        prop_assert!(exhaustive_equiv(&m, &first.aig));
     }
 
     /// Cancelling a solver mid-search from another thread: the solve
@@ -160,7 +158,7 @@ proptest! {
 }
 
 /// A guaranteed panic storm (every query dies) on a real miter: the sweep
-/// must survive every shard failing in every round, report the failures,
+/// must survive every query failing in every round, report the failures,
 /// merge nothing, and hand back an untouched (still equivalent) graph.
 #[test]
 fn total_panic_storm_still_returns_sound_result() {
@@ -168,8 +166,6 @@ fn total_panic_storm_still_returns_sound_result() {
     let out = fraig(
         &m,
         &FraigParams {
-            threads: 2,
-            shards: 2,
             chaos: Some(ChaosPlan {
                 seed: 7,
                 panic_in_1024: 1024,
@@ -178,7 +174,7 @@ fn total_panic_storm_still_returns_sound_result() {
             ..FraigParams::default()
         },
     );
-    assert!(out.stats.shard_failures >= 1, "failures must be counted");
+    assert!(out.stats.oracle_failures >= 1, "failures must be counted");
     assert_eq!(out.stats.proved, 0, "no query survives to prove anything");
     assert!(sim_equiv(&m, &out.aig, 16, 3));
 }
@@ -191,8 +187,6 @@ fn expired_sweep_deadline_yields_partial_but_sound_result() {
     let out = fraig(
         &m,
         &FraigParams {
-            threads: 1,
-            shards: 2,
             deadline: Some(Instant::now() - Duration::from_millis(1)),
             ..FraigParams::default()
         },
