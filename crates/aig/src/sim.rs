@@ -548,6 +548,60 @@ mod tests {
         }
     }
 
+    /// A blocked random fill (up to `SIM_BLOCK` word-parallel columns per
+    /// pass) equals simulating each column on its own from the same
+    /// per-block PI stream.
+    #[test]
+    fn parallel_random_columns_match_sequential() {
+        let g = wide_graph();
+        let n_pis = g.num_pis();
+        let mut blocked = SimVectors::zero(g.num_nodes(), 27);
+        random_columns(&g, &mut blocked, 0, 27, 0xFEED);
+        let mut by_column = SimVectors::zero(g.num_nodes(), 27);
+        for (b, (w, nb)) in blocks(0, 27).enumerate() {
+            let mut pi = vec![0u64; n_pis * nb];
+            fill_pi_block(&mut pi, 0xFEED, b as u64);
+            for j in 0..nb {
+                let col: Vec<u64> = (0..n_pis).map(|i| pi[i * nb + j]).collect();
+                by_column.simulate_column(&g, w + j, &col);
+            }
+        }
+        assert_eq!(blocked, by_column);
+    }
+
+    /// Replay chunks laid out as one PI-major block and simulated in a
+    /// single word-parallel pass equal replaying them column by column.
+    #[test]
+    fn parallel_replay_columns_match_sequential() {
+        let g = wide_graph();
+        let prog = SimProgram::full(&g);
+        let n_pis = g.num_pis();
+        let chunks: Vec<Vec<u64>> = (0..5)
+            .map(|k| (0..n_pis as u64).map(|i| i * 0x9E37 + k).collect())
+            .collect();
+        let jobs: Vec<(usize, &[u64])> = chunks
+            .iter()
+            .enumerate()
+            .map(|(k, c)| (k, c.as_slice()))
+            .collect();
+        let mut seq = SimVectors::zero(g.num_nodes(), 5);
+        simulate_columns_prog(&prog, &mut seq, &jobs);
+        let mut by_hand = SimVectors::zero(g.num_nodes(), 5);
+        for &(w, pi) in &jobs {
+            by_hand.simulate_column(&g, w, pi);
+        }
+        assert_eq!(seq, by_hand);
+        let block: Vec<u64> = (0..n_pis)
+            .flat_map(|i| chunks.iter().map(move |c| c[i]))
+            .collect();
+        let mut interp = SimVectors::zero(g.num_nodes(), 5);
+        interp.simulate_block(&g, 0, 5, &block);
+        assert_eq!(interp, seq);
+        let mut comp = SimVectors::zero(g.num_nodes(), 5);
+        prog.run_strided(&mut comp, 0, 5, &block);
+        assert_eq!(comp, seq);
+    }
+
     #[test]
     fn compiled_replay_columns_match_interpreter() {
         let g = wide_graph();
