@@ -53,4 +53,4 @@ pub use crate::aig::{Aig, GateList};
 pub use crate::compile::{OutRef, SimProgram};
 pub use crate::lit::{Lit, Var};
 pub use crate::node::Node;
-pub use crate::tt::{Cube, Tt};
+pub use crate::tt::{CofactorPair, Cube, Tt};

@@ -9,6 +9,14 @@
 //! Sizes are computed with the standard dereference/re-reference walk over a
 //! mutable copy of the fanout counts, so repeated queries are cheap and do
 //! not disturb the graph.
+//!
+//! The resynthesis passes ask for the part of an MFFC above a cut
+//! ([`Mffc::cone_collect`]) once per candidate cut. That walk stops at the
+//! cut's leaf slice (a cut has at most a dozen leaves, so a linear scan
+//! beats hashing), collects into one reused buffer, and marks the cone
+//! with an epoch in a per-node `Vec<u32>`: [`Mffc::in_cone`] then answers
+//! membership in O(1) for the gate-cost estimate, and the next query
+//! clears every mark at once by bumping the epoch.
 
 use crate::aig::Aig;
 use crate::lit::Var;
@@ -17,6 +25,10 @@ use crate::lit::Var;
 #[derive(Clone, Debug)]
 pub struct Mffc {
     refs: Vec<u32>,
+    /// Per node: the epoch of the last cone that contained it.
+    mark: Vec<u32>,
+    epoch: u32,
+    cone: Vec<Var>,
 }
 
 impl Mffc {
@@ -24,6 +36,9 @@ impl Mffc {
     pub fn new(aig: &Aig) -> Mffc {
         Mffc {
             refs: aig.fanout_counts(),
+            mark: vec![0; aig.num_nodes()],
+            epoch: 0,
+            cone: Vec::new(),
         }
     }
 
@@ -55,68 +70,55 @@ impl Mffc {
         nodes
     }
 
-    /// Size of the part of `v`'s MFFC that lies strictly above the given cut
-    /// `leaves` — exactly the AND nodes that disappear when `v` is
-    /// re-expressed as a structure over those leaves.
+    /// The part of `v`'s MFFC that lies strictly above the cut `leaves`,
+    /// `v` first: exactly the AND nodes that disappear when `v` is
+    /// re-expressed as a structure over those leaves. Empty if `v` is not
+    /// an AND node or is itself a leaf.
     ///
-    /// This is the gain numerator of DAG-aware rewriting: nodes below or at
-    /// a leaf survive because the replacement still references the leaf.
-    pub fn cone_size(&mut self, aig: &Aig, v: Var, leaves: &[Var]) -> usize {
-        self.cone_collect_impl(aig, v, leaves, &mut None)
-    }
-
-    /// The AND nodes counted by [`Mffc::cone_size`], `v` first.
-    pub fn cone_collect(&mut self, aig: &Aig, v: Var, leaves: &[Var]) -> Vec<Var> {
-        let mut nodes = Vec::new();
-        self.cone_collect_impl(aig, v, leaves, &mut Some(&mut nodes));
-        nodes
-    }
-
-    fn cone_collect_impl(
-        &mut self,
-        aig: &Aig,
-        v: Var,
-        leaves: &[Var],
-        out: &mut Option<&mut Vec<Var>>,
-    ) -> usize {
-        if !aig.node(v).is_and() || leaves.contains(&v) {
-            return 0;
+    /// Its length is the gain numerator of DAG-aware rewriting: nodes below
+    /// or at a leaf survive because the replacement still references the
+    /// leaf. The cone stays marked for [`Mffc::in_cone`] until the next
+    /// call; nothing is allocated once the cone buffer has grown.
+    pub fn cone_collect(&mut self, aig: &Aig, v: Var, leaves: &[Var]) -> &[Var] {
+        self.cone.clear();
+        if self.epoch == u32::MAX {
+            self.mark.fill(0);
+            self.epoch = 0;
         }
-        let stop: crate::hash::FastSet<Var> = leaves.iter().copied().collect();
-        let n = self.deref_cone(aig, v, &stop, out);
-        self.reref_cone(aig, v, &stop);
-        n
+        self.epoch += 1;
+        if aig.node(v).is_and() && !leaves.contains(&v) {
+            self.deref_cone(aig, v, leaves);
+            self.reref_cone(aig, v, leaves);
+        }
+        &self.cone
     }
 
-    fn deref_cone(
-        &mut self,
-        aig: &Aig,
-        v: Var,
-        stop: &crate::hash::FastSet<Var>,
-        out: &mut Option<&mut Vec<Var>>,
-    ) -> usize {
-        let mut count = 1;
-        if let Some(list) = out.as_deref_mut() {
-            list.push(v);
-        }
+    /// True if `v` is in the cone last returned by [`Mffc::cone_collect`].
+    #[inline]
+    pub fn in_cone(&self, v: Var) -> bool {
+        self.epoch != 0 && self.mark[v as usize] == self.epoch
+    }
+
+    fn deref_cone(&mut self, aig: &Aig, v: Var, leaves: &[Var]) {
+        self.cone.push(v);
+        self.mark[v as usize] = self.epoch;
         let node = *aig.node(v);
         for f in node.fanins() {
             let fv = f.var();
             debug_assert!(self.refs[fv as usize] > 0, "reference underflow");
             self.refs[fv as usize] -= 1;
-            if self.refs[fv as usize] == 0 && aig.node(fv).is_and() && !stop.contains(&fv) {
-                count += self.deref_cone(aig, fv, stop, out);
+            if self.refs[fv as usize] == 0 && aig.node(fv).is_and() && !leaves.contains(&fv) {
+                self.deref_cone(aig, fv, leaves);
             }
         }
-        count
     }
 
-    fn reref_cone(&mut self, aig: &Aig, v: Var, stop: &crate::hash::FastSet<Var>) {
+    fn reref_cone(&mut self, aig: &Aig, v: Var, leaves: &[Var]) {
         let node = *aig.node(v);
         for f in node.fanins() {
             let fv = f.var();
-            if self.refs[fv as usize] == 0 && aig.node(fv).is_and() && !stop.contains(&fv) {
-                self.reref_cone(aig, fv, stop);
+            if self.refs[fv as usize] == 0 && aig.node(fv).is_and() && !leaves.contains(&fv) {
+                self.reref_cone(aig, fv, leaves);
             }
             self.refs[fv as usize] += 1;
         }
@@ -218,11 +220,17 @@ mod tests {
         let mut m = Mffc::new(&g);
         assert_eq!(m.size(&g, v.var()), 3);
         let leaves = [t0.var(), pis[2].var(), pis[3].var()];
-        assert_eq!(m.cone_size(&g, v.var(), &leaves), 2);
-        let nodes = m.cone_collect(&g, v.var(), &leaves);
+        let nodes = m.cone_collect(&g, v.var(), &leaves).to_vec();
         assert_eq!(nodes, vec![v.var(), t1.var()]);
+        // The cone is marked until the next query; nothing else is.
+        for u in g.iter_vars() {
+            assert_eq!(m.in_cone(u), nodes.contains(&u), "node {u}");
+        }
         // Reference counts restored.
         assert_eq!(m.refs, g.fanout_counts());
+        // The next query replaces the marks.
+        assert_eq!(m.cone_collect(&g, t0.var(), &[pis[0].var()]), &[t0.var()]);
+        assert!(!m.in_cone(v.var()) && m.in_cone(t0.var()));
     }
 
     #[test]
@@ -232,7 +240,8 @@ mod tests {
         let t = g.and(pis[0], pis[1]);
         g.add_po(t);
         let mut m = Mffc::new(&g);
-        assert_eq!(m.cone_size(&g, t.var(), &[t.var()]), 0);
+        assert!(m.cone_collect(&g, t.var(), &[t.var()]).is_empty());
+        assert!(!m.in_cone(t.var()));
     }
 
     #[test]

@@ -7,7 +7,8 @@
 //! instantiates it through the recorded transform.
 
 use crate::lit::Lit;
-use std::sync::{Mutex, OnceLock};
+use std::cell::RefCell;
+use std::sync::OnceLock;
 
 /// An NPN transform `T` acting on 4-variable functions.
 ///
@@ -176,19 +177,21 @@ pub fn npn_canon(f: u16) -> (u16, NpnTransform) {
     (best, best_t)
 }
 
-/// Memoised variant of [`npn_canon`]; the cache is global and thread-safe.
+/// Memoised variant of [`npn_canon`]. The memo is per thread, so a lookup
+/// takes no lock: DAG-aware rewriting canonises every 4-cut of every node.
 pub fn npn_canon_cached(f: u16) -> (u16, NpnTransform) {
-    static CACHE: OnceLock<Mutex<crate::hash::FastMap<u16, (u16, NpnTransform)>>> = OnceLock::new();
-    let cache = CACHE.get_or_init(|| Mutex::new(crate::hash::FastMap::default()));
-    {
-        let guard = cache.lock().unwrap();
-        if let Some(&hit) = guard.get(&f) {
+    thread_local! {
+        static CACHE: RefCell<crate::hash::FastMap<u16, (u16, NpnTransform)>> =
+            RefCell::new(crate::hash::FastMap::default());
+    }
+    CACHE.with(|cache| {
+        if let Some(&hit) = cache.borrow().get(&f) {
             return hit;
         }
-    }
-    let res = npn_canon(f);
-    cache.lock().unwrap().insert(f, res);
-    res
+        let res = npn_canon(f);
+        cache.borrow_mut().insert(f, res);
+        res
+    })
 }
 
 /// Enumerates one representative per NPN class of 4-variable functions.

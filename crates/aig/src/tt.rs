@@ -39,6 +39,27 @@ pub struct Tt {
     words: Vec<u64>,
 }
 
+/// The relations between the cofactors `c0 = f|x=0` and `c1 = f|x=1` of a
+/// table with respect to one variable, as [`Tt::cofactor_pair`] measures
+/// them. These answer the top-decomposition tests of the `synth` crate's
+/// decomposition engine and its choice of Shannon variable.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct CofactorPair {
+    /// `c0` is constant false (`f = x & c1`).
+    pub c0_zero: bool,
+    /// `c0` is constant true (`f = !x | c1`).
+    pub c0_one: bool,
+    /// `c1` is constant false (`f = !x & c0`).
+    pub c1_zero: bool,
+    /// `c1` is constant true (`f = x | c0`).
+    pub c1_one: bool,
+    /// `c0 == !c1` (`f = x ^ c0`).
+    pub complementary: bool,
+    /// Ones of `c0 ^ c1` as same-size tables: zero exactly when `f` does not
+    /// depend on the variable.
+    pub diff_ones: u64,
+}
+
 fn n_words(nvars: usize) -> usize {
     if nvars <= 6 {
         1
@@ -289,6 +310,51 @@ impl Tt {
         }
     }
 
+    /// How the two cofactors with respect to variable `i` relate, in one
+    /// pass over the table and without building either cofactor.
+    ///
+    /// Reads each cofactor pair in place, like [`Tt::has_var`]: shifted bit
+    /// fields within each word for `i < 6`, word blocks for `i >= 6`.
+    pub fn cofactor_pair(&self, i: usize) -> CofactorPair {
+        assert!(i < self.nvars);
+        let mut p = CofactorPair {
+            c0_zero: true,
+            c0_one: true,
+            c1_zero: true,
+            c1_one: true,
+            complementary: true,
+            diff_ones: 0,
+        };
+        // `lo`/`hi`: the two cofactors' values on the same minterm
+        // positions, under `full` (the positions of one cofactor).
+        let mut visit = |lo: u64, hi: u64, full: u64| {
+            p.c0_zero &= lo == 0;
+            p.c0_one &= lo == full;
+            p.c1_zero &= hi == 0;
+            p.c1_one &= hi == full;
+            p.complementary &= lo ^ hi == full;
+            p.diff_ones += u64::from((lo ^ hi).count_ones());
+        };
+        if i < 6 {
+            let shift = 1 << i;
+            let full = !VAR_MASKS[i] & word_mask(self.nvars);
+            for &w in &self.words {
+                visit(w & full, (w >> shift) & full, full);
+            }
+        } else {
+            let stride = 1 << (i - 6);
+            for block in self.words.chunks_exact(2 * stride) {
+                let (w0, w1) = block.split_at(stride);
+                for (&lo, &hi) in w0.iter().zip(w1) {
+                    visit(lo, hi, u64::MAX);
+                }
+            }
+        }
+        // Same-size cofactor tables repeat each position twice.
+        p.diff_ones *= 2;
+        p
+    }
+
     /// The set of variables the function depends on.
     pub fn support(&self) -> Vec<usize> {
         (0..self.nvars).filter(|&i| self.has_var(i)).collect()
@@ -502,9 +568,12 @@ impl Cube {
 
     /// Iterates over `(var, positive)` pairs of the cube's literals.
     pub fn lits(&self) -> impl Iterator<Item = (usize, bool)> + '_ {
-        (0..32usize)
-            .filter(|i| self.mask >> i & 1 != 0)
-            .map(|i| (i, self.vals >> i & 1 != 0))
+        let mut rest = self.mask;
+        std::iter::from_fn(move || {
+            let i = rest.trailing_zeros() as usize;
+            rest &= rest.wrapping_sub(1);
+            (i < 32).then(|| (i, self.vals >> i & 1 != 0))
+        })
     }
 
     /// Evaluates the cube on a minterm.
@@ -896,6 +965,71 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn cofactor_pair_matches_materialised_cofactors() {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(0xC0FA);
+        let check = |t: &Tt| {
+            for i in 0..t.nvars() {
+                let (c0, c1) = (t.cofactor0(i), t.cofactor1(i));
+                let want = CofactorPair {
+                    c0_zero: c0.is_zero(),
+                    c0_one: c0.is_one(),
+                    c1_zero: c1.is_zero(),
+                    c1_one: c1.is_one(),
+                    complementary: c0 == !&c1,
+                    diff_ones: (&c0 ^ &c1).count_ones(),
+                };
+                assert_eq!(t.cofactor_pair(i), want, "{t:?} x{i}");
+            }
+        };
+        // Every function of up to three variables (tables under one word).
+        for n in 1..=3usize {
+            for bits in 0..1u64 << (1 << n) {
+                check(&Tt::from_u64(n, bits));
+            }
+        }
+        for n in 1..=12usize {
+            for _ in 0..12 {
+                let f = random_tt(&mut rng, n);
+                check(&f);
+                check(&!&f);
+                for i in 0..n {
+                    // Each relation made to hold for x_i: one cofactor
+                    // constant, the cofactors complementary, x_i unused.
+                    let g = f.cofactor0(i);
+                    let xi = Tt::var(n, i);
+                    check(&g);
+                    check(&(&g & &xi));
+                    check(&(&g & &!&xi));
+                    check(&(&g | &xi));
+                    check(&(&g | &!&xi));
+                    check(&(&g ^ &xi));
+                    // Sparse tables and a single flipped minterm.
+                    let mut h = &g & &random_tt(&mut rng, n);
+                    check(&h);
+                    let m = rng.gen_range(0..1usize << n);
+                    h.set_bit(m, !h.bit(m));
+                    check(&h);
+                }
+            }
+        }
+        check(&Tt::zero(7));
+        check(&Tt::one(7));
+        check(&Tt::one(2));
+    }
+
+    #[test]
+    fn cube_lits_lists_set_bits_in_order() {
+        let c = Cube {
+            mask: 0x8000_0025,
+            vals: 0x8000_0004,
+        };
+        let lits: Vec<(usize, bool)> = c.lits().collect();
+        assert_eq!(lits, vec![(0, false), (2, true), (5, false), (31, true)]);
+        assert_eq!(Cube::TAUTOLOGY.lits().count(), 0);
     }
 
     #[test]

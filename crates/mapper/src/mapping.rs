@@ -12,7 +12,7 @@
 //! DESIGN.md for the substitution note.)
 
 use crate::cost::CutCost;
-use aig::cut::{cut_function, enumerate_cuts, Cut, CutParams};
+use aig::cut::{enumerate_cuts, ConeEval, Cut, CutParams};
 use aig::{Aig, Tt, Var};
 use cnf::{LutNetlist, LutSignal};
 
@@ -62,6 +62,7 @@ pub fn map_luts(aig: &Aig, params: &MapParams, cost: &dyn CutCost) -> LutNetlist
 
     // Pre-compute per-cut functions (the cone is evaluated once per cut).
     let n = aig.num_nodes();
+    let mut eval = ConeEval::new(aig);
     let mut cut_tts: Vec<Vec<Option<Tt>>> = vec![Vec::new(); n];
     for v in aig.iter_ands() {
         let vi = v as usize;
@@ -71,7 +72,8 @@ pub fn map_luts(aig: &Aig, params: &MapParams, cost: &dyn CutCost) -> LutNetlist
                 if c.leaves() == [v] {
                     None // trivial cut is not implementable
                 } else {
-                    Some(cut_function(aig, v, c.leaves()))
+                    let words = eval.eval(aig, v, c.leaves());
+                    Some(Tt::from_words(c.size(), words.to_vec()))
                 }
             })
             .collect();

@@ -103,6 +103,13 @@ impl SynthEnv {
     /// up front so the terminal reward can be computed.
     pub fn new_training(instance: &Aig, cfg: EnvConfig) -> SynthEnv {
         let init = measure_branchings(instance, &cfg.mapper, &cfg.solver, cfg.budget.clone());
+        SynthEnv::with_initial_branchings(instance, cfg, init)
+    }
+
+    /// Starts a *training* episode from an initial branching count measured
+    /// earlier with [`measure_branchings`] under the same `cfg`. The count
+    /// is deterministic, so a training loop measures each instance once.
+    pub fn with_initial_branchings(instance: &Aig, cfg: EnvConfig, init: u64) -> SynthEnv {
         SynthEnv {
             baseline: FeatureBaseline::of(instance),
             embedding: instance_embedding(instance),

@@ -3,12 +3,14 @@
 //! [`train_agent`] runs the paper's episode loop: each episode samples one
 //! training instance, the agent picks synthesis operations until `end` or
 //! `T` steps, the terminal reward is the branching reduction, and the DQN
-//! is updated from replay after every step. [`RecipePolicy`] then packages
-//! the trained agent — or the ablation policies (random, fixed recipe) —
-//! behind one interface for the preprocessing pipelines.
+//! is updated from replay after every step. Each instance's initial
+//! branching count (the reward's reference) is measured once per run, not
+//! once per episode. [`RecipePolicy`] then packages the trained agent — or
+//! the ablation policies (random, fixed recipe) — behind one interface for
+//! the preprocessing pipelines.
 
 use crate::dqn::{DqnAgent, DqnConfig};
-use crate::env::{action_op, EnvConfig, SynthEnv, NUM_ACTIONS};
+use crate::env::{action_op, measure_branchings, EnvConfig, SynthEnv, NUM_ACTIONS};
 use crate::replay::Transition;
 use aig::Aig;
 use rand::rngs::StdRng;
@@ -72,9 +74,18 @@ pub fn train_agent(instances: &[Aig], cfg: &TrainConfig) -> (DqnAgent, TrainStat
     let mut rng = StdRng::seed_from_u64(cfg.seed);
     let mut stats = TrainStats::default();
 
+    // Each instance's initial branching count, measured on first use: the
+    // count is deterministic, so every later episode on the instance
+    // reuses it instead of mapping, encoding and solving it again.
+    let mut init_counts: Vec<Option<u64>> = vec![None; instances.len()];
     for _ in 0..cfg.episodes {
-        let inst = &instances[rng.gen_range(0..instances.len())];
-        let mut env = SynthEnv::new_training(inst, cfg.env.clone());
+        let idx = rng.gen_range(0..instances.len());
+        let inst = &instances[idx];
+        let init = *init_counts[idx].get_or_insert_with(|| {
+            let e = &cfg.env;
+            measure_branchings(inst, &e.mapper, &e.solver, e.budget.clone())
+        });
+        let mut env = SynthEnv::with_initial_branchings(inst, cfg.env.clone(), init);
         let mut state = env.state();
         let terminal_reward;
         let mut losses = Vec::new();
@@ -213,6 +224,70 @@ mod tests {
         let (agent, stats) = train_agent(&instances, &cfg);
         assert_eq!(stats.episode_rewards.len(), 4);
         assert!(agent.env_steps() >= 4);
+    }
+
+    /// The training loop before initial counts were shared: every episode
+    /// measures its instance's initial branching count afresh.
+    fn reference_train(instances: &[Aig], cfg: &TrainConfig) -> (DqnAgent, Vec<f64>) {
+        let mut agent = DqnAgent::new(cfg.dqn.clone());
+        let mut rng = StdRng::seed_from_u64(cfg.seed);
+        let mut rewards = Vec::new();
+        for _ in 0..cfg.episodes {
+            let inst = &instances[rng.gen_range(0..instances.len())];
+            let mut env = SynthEnv::new_training(inst, cfg.env.clone());
+            let mut state = env.state();
+            loop {
+                let action = agent.select_action(&state);
+                let step = env.step(action);
+                agent.remember(Transition {
+                    state: std::mem::take(&mut state),
+                    action,
+                    reward: step.reward,
+                    next_state: step.state.clone(),
+                    done: step.done,
+                });
+                agent.train_step();
+                state = step.state;
+                if step.done {
+                    rewards.push(step.reward);
+                    break;
+                }
+            }
+        }
+        (agent, rewards)
+    }
+
+    #[test]
+    fn shared_initial_counts_train_the_same_agent() {
+        // Fewer instances than episodes, so most episodes reuse an initial
+        // branching count measured by an earlier one.
+        let instances = tiny_instances();
+        let cfg = TrainConfig {
+            episodes: 9,
+            env: EnvConfig {
+                max_steps: 2,
+                ..EnvConfig::default()
+            },
+            dqn: DqnConfig {
+                batch_size: 4,
+                eps_decay_steps: 18,
+                ..DqnConfig::default()
+            },
+            seed: 3,
+        };
+        let (a, sa) = train_agent(&instances, &cfg);
+        let (b, sb) = train_agent(&instances, &cfg);
+        let (r, rewards) = reference_train(&instances, &cfg);
+        assert_eq!(sa.episode_rewards, sb.episode_rewards);
+        assert_eq!(sa.episode_rewards, rewards);
+        let q_bits = |agent: &DqnAgent, inst: &Aig| -> Vec<u64> {
+            let state = SynthEnv::new_rollout(inst, cfg.env.clone()).state();
+            agent.q_values(&state).iter().map(|x| x.to_bits()).collect()
+        };
+        for inst in &instances {
+            assert_eq!(q_bits(&a, inst), q_bits(&b, inst));
+            assert_eq!(q_bits(&a, inst), q_bits(&r, inst));
+        }
     }
 
     #[test]

@@ -6,12 +6,17 @@
 //! expansion (MUX) on the most binate variable, memoising sub-functions so
 //! shared cofactors become shared gates.
 //!
+//! Each level reads every variable's cofactor pair once, in place
+//! ([`Tt::cofactor_pair`]): that one pass answers the support test, the
+//! five top-decomposition tests and the Shannon binateness count, and only
+//! the cofactor the recursion descends into is materialised.
+//!
 //! Together with the algebraic factoring of [`crate::factor`], this is the
 //! structure generator behind the NPN rewriting library and refactoring.
 
 use crate::builder::{sig_not, Sig, StructBuilder, SIG_FALSE, SIG_TRUE};
 use aig::hash::FastMap;
-use aig::{GateList, Tt};
+use aig::{CofactorPair, GateList, Tt};
 
 /// Synthesises a gate structure for `f` by recursive decomposition.
 ///
@@ -39,11 +44,21 @@ fn decompose_rec(f: &Tt, b: &mut StructBuilder, memo: &mut FastMap<Tt, Sig>) -> 
         return sig_not(s);
     }
 
-    let sup = f.support();
+    // One in-place pass per variable; the support is where the cofactors
+    // differ.
+    let mut buf = [(0usize, CofactorPair::default()); Tt::MAX_VARS];
+    let mut n = 0;
+    for v in 0..f.nvars() {
+        let p = f.cofactor_pair(v);
+        if p.diff_ones != 0 {
+            buf[n] = (v, p);
+            n += 1;
+        }
+    }
+    let sup = &buf[..n];
     debug_assert!(!sup.is_empty());
     // Single literal?
-    if sup.len() == 1 {
-        let v = sup[0];
+    if let [(v, _)] = *sup {
         let s = if f.bit(1 << v) {
             b.leaf(v)
         } else {
@@ -54,29 +69,27 @@ fn decompose_rec(f: &Tt, b: &mut StructBuilder, memo: &mut FastMap<Tt, Sig>) -> 
     }
 
     // Top decomposition on each support variable.
-    for &v in &sup {
-        let c0 = f.cofactor0(v);
-        let c1 = f.cofactor1(v);
+    for &(v, p) in sup {
         let lv = b.leaf(v);
-        let s = if c0.is_zero() {
+        let s = if p.c0_zero {
             // f = v & c1
-            let inner = decompose_rec(&c1, b, memo);
+            let inner = decompose_rec(&f.cofactor1(v), b, memo);
             Some(b.and(lv, inner))
-        } else if c1.is_zero() {
+        } else if p.c1_zero {
             // f = !v & c0
-            let inner = decompose_rec(&c0, b, memo);
+            let inner = decompose_rec(&f.cofactor0(v), b, memo);
             Some(b.and(sig_not(lv), inner))
-        } else if c0.is_one() {
+        } else if p.c0_one {
             // f = !v | c1
-            let inner = decompose_rec(&c1, b, memo);
+            let inner = decompose_rec(&f.cofactor1(v), b, memo);
             Some(b.or(sig_not(lv), inner))
-        } else if c1.is_one() {
+        } else if p.c1_one {
             // f = v | c0
-            let inner = decompose_rec(&c0, b, memo);
+            let inner = decompose_rec(&f.cofactor0(v), b, memo);
             Some(b.or(lv, inner))
-        } else if c0 == !&c1 {
+        } else if p.complementary {
             // f = v ^ c0
-            let inner = decompose_rec(&c0, b, memo);
+            let inner = decompose_rec(&f.cofactor0(v), b, memo);
             Some(b.xor(lv, inner))
         } else {
             None
@@ -87,20 +100,14 @@ fn decompose_rec(f: &Tt, b: &mut StructBuilder, memo: &mut FastMap<Tt, Sig>) -> 
         }
     }
 
-    // Shannon expansion on the most binate variable (largest on-set change).
-    let v = *sup
+    // Shannon expansion on the most binate variable (largest on-set change;
+    // the last of equals, as `max_by_key` picks).
+    let (v, _) = *sup
         .iter()
-        .max_by_key(|&&v| {
-            let c0 = f.cofactor0(v);
-            let c1 = f.cofactor1(v);
-            let d = &c0 ^ &c1;
-            d.count_ones()
-        })
+        .max_by_key(|(_, p)| p.diff_ones)
         .expect("non-empty support");
-    let c0 = f.cofactor0(v);
-    let c1 = f.cofactor1(v);
-    let s0 = decompose_rec(&c0, b, memo);
-    let s1 = decompose_rec(&c1, b, memo);
+    let s0 = decompose_rec(&f.cofactor0(v), b, memo);
+    let s1 = decompose_rec(&f.cofactor1(v), b, memo);
     let lv = b.leaf(v);
     let s = b.mux(lv, s1, s0);
     memo.insert(f.clone(), s);

@@ -6,6 +6,11 @@
 //! cover into `l · Q + R`, and recurse. The factored form is then emitted
 //! as an AND/OR structure via [`StructBuilder`].
 //!
+//! The division works in place: the cover is partitioned into the
+//! quotient (first) and the remainder, and the recursion descends into the
+//! two sub-slices. Literal frequencies are counted over each cube's set
+//! mask bits only.
+//!
 //! [`best_structure`] combines this generator with the decomposition engine
 //! of [`crate::dsd`] and returns the smaller result — our stand-in for the
 //! pre-computed optimal structures of ABC's rewriting library.
@@ -18,29 +23,31 @@ use aig::{Cube, GateList, Tt};
 /// Both `f` and `!f` are factored; the smaller structure (complemented back
 /// if needed) wins.
 pub fn factor(f: &Tt) -> GateList {
-    let pos = factor_cover(f.nvars(), &f.isop());
-    let neg = factor_cover(f.nvars(), &(!f).isop());
+    let pos = factor_cover(f.nvars(), &mut f.isop());
+    let neg = factor_cover(f.nvars(), &mut (!f).isop());
     if pos.size() <= neg.size() {
         pos
     } else {
         GateList {
-            root: flip_root(neg.root),
+            root: sig_not(neg.root),
             ..neg
         }
     }
 }
 
-fn flip_root(root: Sig) -> Sig {
-    sig_not(root)
-}
-
-fn factor_cover(nvars: usize, cover: &[Cube]) -> GateList {
+fn factor_cover(nvars: usize, cover: &mut [Cube]) -> GateList {
     let mut b = StructBuilder::new(nvars);
     let root = factor_rec(cover, &mut b);
     b.finish(root)
 }
 
-fn factor_rec(cover: &[Cube], b: &mut StructBuilder) -> Sig {
+/// Factors `cover`, reordering (and dividing) its cubes in place.
+///
+/// The structure depends only on the *set* of cubes: the dividing literal
+/// is chosen by count (ties to the lowest variable, positive first) and a
+/// single cube is built in variable order. So the partition need not keep
+/// the cubes' order, and a plain swap partition does the division.
+fn factor_rec(cover: &mut [Cube], b: &mut StructBuilder) -> Sig {
     if cover.is_empty() {
         return SIG_FALSE;
     }
@@ -52,21 +59,24 @@ fn factor_rec(cover: &[Cube], b: &mut StructBuilder) -> Sig {
     }
     // Most frequent literal over the cover.
     let (var, positive) = most_frequent_literal(cover);
-    let mut quotient = Vec::new();
-    let mut remainder = Vec::new();
     let bit = 1u32 << var;
-    for c in cover {
-        if c.mask & bit != 0 && (c.vals & bit != 0) == positive {
-            let mut q = *c;
-            q.mask &= !bit;
-            q.vals &= !bit;
-            quotient.push(q);
-        } else {
-            remainder.push(*c);
+    let want = if positive { bit } else { 0 };
+    // Quotient cubes, divided by the literal, to the front.
+    let mut q = 0;
+    for i in 0..cover.len() {
+        let c = cover[i];
+        if c.mask & bit != 0 && c.vals & bit == want {
+            cover.swap(q, i);
+            cover[q] = Cube {
+                mask: c.mask & !bit,
+                vals: c.vals & !bit,
+            };
+            q += 1;
         }
     }
-    debug_assert!(!quotient.is_empty());
-    let q_sig = factor_rec(&quotient, b);
+    debug_assert!(q > 0);
+    let (quotient, remainder) = cover.split_at_mut(q);
+    let q_sig = factor_rec(quotient, b);
     let lit_sig = if positive {
         b.leaf(var)
     } else {
@@ -76,7 +86,7 @@ fn factor_rec(cover: &[Cube], b: &mut StructBuilder) -> Sig {
     if remainder.is_empty() {
         lhs
     } else {
-        let r_sig = factor_rec(&remainder, b);
+        let r_sig = factor_rec(remainder, b);
         b.or(lhs, r_sig)
     }
 }
@@ -90,28 +100,29 @@ fn build_cube(c: &Cube, b: &mut StructBuilder) -> Sig {
     acc
 }
 
+/// The literal in the most cubes: the lowest variable wins ties, and its
+/// positive literal before its negative one.
 fn most_frequent_literal(cover: &[Cube]) -> (usize, bool) {
-    let mut best = (0usize, true);
-    let mut best_count = 0usize;
-    for v in 0..32 {
-        let bit = 1u32 << v;
-        let mut pos = 0usize;
-        let mut neg = 0usize;
-        for c in cover {
-            if c.mask & bit != 0 {
-                if c.vals & bit != 0 {
-                    pos += 1;
-                } else {
-                    neg += 1;
-                }
+    let mut pos = [0u32; 32];
+    let mut neg = [0u32; 32];
+    for c in cover {
+        for (v, p) in c.lits() {
+            if p {
+                pos[v] += 1;
+            } else {
+                neg[v] += 1;
             }
         }
-        if pos > best_count {
-            best_count = pos;
+    }
+    let mut best = (0usize, true);
+    let mut best_count = 0u32;
+    for v in 0..32 {
+        if pos[v] > best_count {
+            best_count = pos[v];
             best = (v, true);
         }
-        if neg > best_count {
-            best_count = neg;
+        if neg[v] > best_count {
+            best_count = neg[v];
             best = (v, false);
         }
     }
@@ -186,6 +197,115 @@ mod tests {
             assert_eq!(gatelist_tt(&b), f);
             assert!(b.size() <= crate::dsd::decompose(&f).size());
             assert!(b.size() <= factor(&f).size());
+        }
+    }
+
+    /// The allocating factoring `factor_rec` replaced: a fresh quotient and
+    /// remainder vector per level, and a 32-variable scan per literal pick.
+    fn reference_factor(f: &Tt) -> GateList {
+        fn rec(cover: &[Cube], b: &mut StructBuilder) -> Sig {
+            if cover.is_empty() {
+                return SIG_FALSE;
+            }
+            if cover.iter().any(|c| c.mask == 0) {
+                return SIG_TRUE;
+            }
+            if cover.len() == 1 {
+                return build_cube(&cover[0], b);
+            }
+            let mut best = (0usize, true);
+            let mut best_count = 0usize;
+            for v in 0..32 {
+                let bit = 1u32 << v;
+                let pos = cover
+                    .iter()
+                    .filter(|c| c.mask & bit != 0 && c.vals & bit != 0)
+                    .count();
+                let neg = cover
+                    .iter()
+                    .filter(|c| c.mask & bit != 0 && c.vals & bit == 0)
+                    .count();
+                if pos > best_count {
+                    best_count = pos;
+                    best = (v, true);
+                }
+                if neg > best_count {
+                    best_count = neg;
+                    best = (v, false);
+                }
+            }
+            let (var, positive) = best;
+            let bit = 1u32 << var;
+            let mut quotient = Vec::new();
+            let mut remainder = Vec::new();
+            for c in cover {
+                if c.mask & bit != 0 && (c.vals & bit != 0) == positive {
+                    let mut q = *c;
+                    q.mask &= !bit;
+                    q.vals &= !bit;
+                    quotient.push(q);
+                } else {
+                    remainder.push(*c);
+                }
+            }
+            let q_sig = rec(&quotient, b);
+            let lit = if positive {
+                b.leaf(var)
+            } else {
+                sig_not(b.leaf(var))
+            };
+            let lhs = b.and(lit, q_sig);
+            if remainder.is_empty() {
+                lhs
+            } else {
+                let r_sig = rec(&remainder, b);
+                b.or(lhs, r_sig)
+            }
+        }
+        let run = |cover: &[Cube]| {
+            let mut b = StructBuilder::new(f.nvars());
+            let root = rec(cover, &mut b);
+            b.finish(root)
+        };
+        let pos = run(&f.isop());
+        let neg = run(&(!f).isop());
+        if pos.size() <= neg.size() {
+            pos
+        } else {
+            GateList {
+                root: sig_not(neg.root),
+                ..neg
+            }
+        }
+    }
+
+    #[test]
+    fn factor_matches_reference_exhaustive_3var() {
+        for bits in 0..256u64 {
+            let f = Tt::from_u64(3, bits);
+            assert_eq!(factor(&f), reference_factor(&f), "bits={bits:#x}");
+        }
+    }
+
+    #[test]
+    fn factor_matches_reference_random() {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(0xFAC7);
+        for n in 4..=10usize {
+            for _ in 0..24 {
+                let word = |rng: &mut rand::rngs::StdRng| -> Vec<u64> {
+                    (0..(if n <= 6 { 1 } else { 1 << (n - 6) }))
+                        .map(|_| rng.gen())
+                        .collect()
+                };
+                let dense = Tt::from_words(n, word(&mut rng));
+                // Sparse and dense-ish covers: AND/OR of two random tables.
+                let sparse = &dense & &Tt::from_words(n, word(&mut rng));
+                let wide = &dense | &Tt::from_words(n, word(&mut rng));
+                for f in [dense, sparse, wide] {
+                    assert_eq!(factor(&f), reference_factor(&f), "n={n} {f:?}");
+                }
+            }
         }
     }
 

@@ -9,7 +9,12 @@
 //!
 //! Demanding only earlier nodes makes the dependency relation acyclic, so
 //! the rebuild is a straightforward worklist evaluation.
+//!
+//! `dry_run_cost` is the passes' shared price of a candidate structure:
+//! how many gates instantiating it would add, given the gates that already
+//! exist outside the cone it replaces.
 
+use aig::mffc::Mffc;
 use aig::{Aig, GateList, Lit, Var};
 
 /// Per-node reconstruction choice.
@@ -132,6 +137,43 @@ fn mapped(map: &[Option<Lit>], old: Lit) -> Lit {
     map[old.var() as usize]
         .expect("dependency resolved")
         .xor_compl(old.is_compl())
+}
+
+/// Counts how many *new* AND gates instantiating `gl` over `leaves` would
+/// create. A gate is free when it folds to a constant or already exists in
+/// the graph outside the cone `mffc` last collected (that cone is the logic
+/// the replacement frees, so its gates cannot be reused). `sigs` is scratch
+/// space, reused across calls.
+pub(crate) fn dry_run_cost(
+    aig: &Aig,
+    leaves: &[Lit],
+    gl: &GateList,
+    mffc: &Mffc,
+    sigs: &mut Vec<Option<Lit>>,
+) -> usize {
+    // Each signal is either a known old-graph literal or a new node.
+    sigs.clear();
+    sigs.extend(leaves.iter().map(|&l| Some(l)));
+    let decode = |sigs: &[Option<Lit>], s: u32| -> Option<Lit> {
+        match s {
+            GateList::FALSE => Some(Lit::FALSE),
+            GateList::TRUE => Some(Lit::TRUE),
+            _ => sigs[(s >> 1) as usize].map(|l| l.xor_compl(s & 1 != 0)),
+        }
+    };
+    let mut cost = 0usize;
+    for &(a, b) in &gl.gates {
+        let out = match (decode(sigs, a), decode(sigs, b)) {
+            (Some(x), Some(y)) => match aig.find_and(x, y) {
+                Some(l) if l.is_const() || !mffc.in_cone(l.var()) => Some(l),
+                _ => None,
+            },
+            _ => None,
+        };
+        cost += out.is_none() as usize;
+        sigs.push(out);
+    }
+    cost
 }
 
 #[cfg(test)]

@@ -6,13 +6,16 @@
 //! ([`crate::factor::best_structure`]). The node is replaced when the new
 //! structure is smaller than the logic it makes redundant — Brayton-style
 //! re-factorisation as in ABC's `refactor`.
+//!
+//! The cut function is read as a word slice from the shared [`ConeEval`],
+//! and the freed cone is marked in place by [`Mffc::cone_collect`]; the
+//! candidate is priced by the same [`dry_run_cost`] as rewriting.
 
 use crate::factor::best_structure;
-use crate::plan::{rebuild, Choice};
-use aig::cut::cut_function;
-use aig::hash::FastSet;
+use crate::plan::{dry_run_cost, rebuild, Choice};
+use aig::cut::ConeEval;
 use aig::mffc::Mffc;
-use aig::{Aig, GateList, Lit, Var};
+use aig::{Aig, Lit, Tt, Var};
 
 /// Parameters of the refactoring pass.
 #[derive(Clone, Copy, Debug)]
@@ -42,6 +45,8 @@ pub fn refactor(aig: &Aig, params: &RefactorParams) -> Aig {
         "max_leaves must be in 2..=12 (truth-table bound)"
     );
     let mut mffc = Mffc::new(aig);
+    let mut eval = ConeEval::new(aig);
+    let mut sigs = Vec::new();
     let fanout = aig.fanout_counts();
     let mut choices: Vec<Choice> = vec![Choice::Copy; aig.num_nodes()];
 
@@ -53,16 +58,15 @@ pub fn refactor(aig: &Aig, params: &RefactorParams) -> Aig {
         if leaves.len() < 2 {
             continue;
         }
-        let cone = mffc.cone_collect(aig, v, &leaves);
-        if cone.len() < 2 && !params.zero_gain {
+        let freed = mffc.cone_collect(aig, v, &leaves).len();
+        if freed < 2 && !params.zero_gain {
             continue; // nothing worth saving here
         }
-        let cone_set: FastSet<Var> = cone.iter().copied().collect();
-        let f = cut_function(aig, v, &leaves);
+        let f = Tt::from_words(leaves.len(), eval.eval(aig, v, &leaves).to_vec());
         let gl = best_structure(&f);
         let leaf_lits: Vec<Lit> = leaves.iter().map(|&l| Lit::from_var(l, false)).collect();
-        let cost = dry_run_cost(aig, &leaf_lits, &gl, &cone_set);
-        let gain = cone.len() as i64 - cost as i64;
+        let cost = dry_run_cost(aig, &leaf_lits, &gl, &mffc, &mut sigs);
+        let gain = freed as i64 - cost as i64;
         let threshold = if params.zero_gain { 0 } else { 1 };
         if gain >= threshold {
             choices[v as usize] = Choice::Structure {
@@ -115,37 +119,6 @@ pub(crate) fn reconvergence_cut(aig: &Aig, root: Var, max_leaves: usize) -> Vec<
     leaves
 }
 
-/// Same dry-run cost model as rewriting (kept local to avoid a public API
-/// commitment): counts new gates, crediting existing ones outside the cone.
-fn dry_run_cost(aig: &Aig, leaves: &[Lit], gl: &GateList, excluded: &FastSet<Var>) -> usize {
-    let mut sigs: Vec<Option<Lit>> = leaves.iter().map(|&l| Some(l)).collect();
-    let decode = |sigs: &[Option<Lit>], s: u32| -> Option<Lit> {
-        match s {
-            GateList::FALSE => Some(Lit::FALSE),
-            GateList::TRUE => Some(Lit::TRUE),
-            _ => sigs[(s >> 1) as usize].map(|l| l.xor_compl(s & 1 != 0)),
-        }
-    };
-    let mut cost = 0usize;
-    for &(a, b) in &gl.gates {
-        let out = match (decode(&sigs, a), decode(&sigs, b)) {
-            (Some(x), Some(y)) => match aig.find_and(x, y) {
-                Some(l) if l.is_const() || !excluded.contains(&l.var()) => Some(l),
-                _ => {
-                    cost += 1;
-                    None
-                }
-            },
-            _ => {
-                cost += 1;
-                None
-            }
-        };
-        sigs.push(out);
-    }
-    cost
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -179,8 +152,8 @@ mod tests {
             let leaves = reconvergence_cut(&g, v, 8);
             assert!(leaves.len() <= 8);
             // Verify it is a cut: evaluating the cone must never escape the
-            // leaves (cut_function panics otherwise).
-            let _ = cut_function(&g, v, &leaves);
+            // leaves (the evaluator panics otherwise).
+            let _ = ConeEval::new(&g).eval(&g, v, &leaves);
         }
     }
 

@@ -12,13 +12,18 @@
 //!
 //! This follows the permissible-function resubstitution lineage the paper
 //! cites (Sato et al.) in its windowed, truth-table-driven ABC form.
+//!
+//! The window's tables come from the shared [`ConeEval`]: its evaluation
+//! order lists the window, and [`ConeEval::add_and`] grows the side
+//! divisors in the same arena. Candidates are compared as word slices, and
+//! the freed cone is marked in place by [`Mffc::cone_collect`].
 
 use crate::plan::{rebuild, Choice};
 use crate::refactor::reconvergence_cut;
-use aig::hash::FastSet;
+use aig::cut::ConeEval;
 use aig::mffc::Mffc;
 use aig::sim::random_signatures;
-use aig::{Aig, GateList, Lit, Tt, Var};
+use aig::{Aig, GateList, Lit, Var};
 
 /// Words of global random simulation behind the divisor filter.
 const SIG_WORDS: usize = 4;
@@ -53,6 +58,7 @@ pub fn resub(aig: &Aig, params: &ResubParams) -> Aig {
         "max_leaves must be in 2..=12 (truth-table bound)"
     );
     let mut mffc = Mffc::new(aig);
+    let mut eval = ConeEval::new(aig);
     let fanout = aig.fanout_counts();
     let fanout_lists = aig.fanout_lists();
     let mut choices: Vec<Choice> = vec![Choice::Copy; aig.num_nodes()];
@@ -61,6 +67,8 @@ pub fn resub(aig: &Aig, params: &ResubParams) -> Aig {
     // mismatch soundly rejects a candidate before any truth-table work.
     let sigs = random_signatures(aig, SIG_WORDS, SIG_SEED);
     let mask = |c: bool| if c { !0u64 } else { 0 };
+    let mut divisors: Vec<Var> = Vec::new();
+    let mut frontier: Vec<Var> = Vec::new();
 
     for v in aig.iter_ands() {
         if fanout[v as usize] == 0 {
@@ -70,54 +78,48 @@ pub fn resub(aig: &Aig, params: &ResubParams) -> Aig {
         if leaves.len() < 2 {
             continue;
         }
-        let cone: Vec<Var> = mffc.cone_collect(aig, v, &leaves);
-        if cone.is_empty() {
+        let freed = mffc.cone_collect(aig, v, &leaves).len();
+        if freed == 0 {
             continue;
         }
-        let cone_set: FastSet<Var> = cone.iter().copied().collect();
 
         // Window truth tables: evaluate the whole cone between leaves and v,
         // keeping every intermediate node as a divisor candidate.
-        let (mut tts, order) = window_tts(aig, v, &leaves);
-        let ft = tts[&v].clone();
+        eval.eval(aig, v, &leaves);
 
         // Divisors: the cut leaves themselves, plus window nodes that
         // survive the replacement (not in the disappearing cone), strictly
         // below v...
-        let mut divisors: Vec<Var> = order
-            .iter()
-            .copied()
-            .filter(|&d| d != v && d < v && !cone_set.contains(&d))
-            .collect();
+        divisors.clear();
+        divisors.extend(
+            eval.order()
+                .iter()
+                .copied()
+                .filter(|&d| d != v && d < v && !mffc.in_cone(d)),
+        );
         debug_assert!(
             leaves.iter().all(|l| divisors.contains(l)),
             "leaves are divisors"
         );
         // ...plus *side* divisors: logic outside the cone whose support lies
         // within the cut, grown by walking fanouts of known-table nodes.
-        let mut frontier: Vec<Var> = divisors.clone();
+        frontier.clear();
+        frontier.extend_from_slice(&divisors);
         frontier.extend_from_slice(&leaves);
         let mut qi = 0;
         while qi < frontier.len() && divisors.len() < params.max_divisors {
             let d = frontier[qi];
             qi += 1;
             for &c in &fanout_lists[d as usize] {
-                if c >= v || cone_set.contains(&c) || tts.contains_key(&c) {
-                    continue;
+                if c < v && !mffc.in_cone(c) && !eval.has(c) && eval.add_and(aig, c) {
+                    divisors.push(c);
+                    frontier.push(c);
                 }
-                let n = aig.node(c);
-                let (a, b) = (n.fanin0(), n.fanin1());
-                let (Some(ta), Some(tb)) = (tts.get(&a.var()), tts.get(&b.var())) else {
-                    continue;
-                };
-                let ta = if a.is_compl() { !ta } else { ta.clone() };
-                let tb = if b.is_compl() { !tb } else { tb.clone() };
-                tts.insert(c, ta & tb);
-                divisors.push(c);
-                frontier.push(c);
             }
         }
         divisors.truncate(params.max_divisors);
+        let table = |d: Var| eval.table(d).expect("divisor table");
+        let ft = table(v);
 
         // 0-resub. The signature filter rejects non-candidates with a few
         // word compares; the window truth table confirms survivors.
@@ -130,19 +132,19 @@ pub fn resub(aig: &Aig, params: &ResubParams) -> Aig {
             if !direct && !compl {
                 continue;
             }
-            let td = &tts[&d];
-            if *td == ft {
+            let td = table(d);
+            if td == ft {
                 chosen = Some((vec![Lit::from_var(d, false)], identity_gl(false)));
                 break;
             }
-            if !td == ft {
+            if td.iter().zip(ft).all(|(&x, &y)| !x == y) {
                 chosen = Some((vec![Lit::from_var(d, false)], identity_gl(true)));
                 break;
             }
         }
 
         // 1-resub: only profitable when at least two nodes disappear.
-        if chosen.is_none() && cone.len() >= 2 {
+        if chosen.is_none() && freed >= 2 {
             'outer: for i in 0..divisors.len() {
                 for j in (i + 1)..divisors.len() {
                     let (da, db) = (divisors[i], divisors[j]);
@@ -150,7 +152,7 @@ pub fn resub(aig: &Aig, params: &ResubParams) -> Aig {
                     for (ca, cb, co) in POLARITIES {
                         // Word-parallel signature filter: the candidate's
                         // global signature must reproduce the target's
-                        // before any truth table is materialised.
+                        // before any truth table is compared.
                         let (ma, mb, mo) = (mask(ca), mask(cb), mask(co));
                         let sig_ok = ra
                             .iter()
@@ -160,14 +162,13 @@ pub fn resub(aig: &Aig, params: &ResubParams) -> Aig {
                         if !sig_ok {
                             continue;
                         }
-                        let (ta, tb) = (&tts[&da], &tts[&db]);
-                        let fa = if ca { !ta } else { ta.clone() };
-                        let fb = if cb { !tb } else { tb.clone() };
-                        let mut f = fa & fb;
-                        if co {
-                            f = !f;
-                        }
-                        if f == ft {
+                        let (ta, tb) = (table(da), table(db));
+                        let hit = ta
+                            .iter()
+                            .zip(tb)
+                            .zip(ft)
+                            .all(|((&wa, &wb), &wf)| ((wa ^ ma) & (wb ^ mb)) ^ mo == wf);
+                        if hit {
                             chosen = Some((
                                 vec![Lit::from_var(da, ca), Lit::from_var(db, cb)],
                                 and2_gl(co),
@@ -216,45 +217,6 @@ fn and2_gl(out_compl: bool) -> GateList {
         gates: vec![(GateList::leaf(0, false), GateList::leaf(1, false))],
         root: 2 << 1 | out_compl as u32,
     }
-}
-
-/// Truth tables (over the cut leaves) of every node in the cone of `root`
-/// above `leaves`, leaves included. Returns the table map and a topological
-/// listing of the window's nodes.
-fn window_tts(aig: &Aig, root: Var, leaves: &[Var]) -> (aig::hash::FastMap<Var, Tt>, Vec<Var>) {
-    let nv = leaves.len();
-    let mut tts = aig::hash::FastMap::default();
-    let mut order = Vec::new();
-    for (i, &l) in leaves.iter().enumerate() {
-        tts.insert(l, Tt::var(nv, i));
-        order.push(l);
-    }
-    let mut stack = vec![(root, false)];
-    while let Some((v, expanded)) = stack.pop() {
-        if tts.contains_key(&v) {
-            continue;
-        }
-        let n = aig.node(v);
-        debug_assert!(n.is_and(), "leaves must cover the cone");
-        let (a, b) = (n.fanin0(), n.fanin1());
-        if expanded {
-            let ta = tts[&a.var()].clone();
-            let tb = tts[&b.var()].clone();
-            let ta = if a.is_compl() { !ta } else { ta };
-            let tb = if b.is_compl() { !tb } else { tb };
-            tts.insert(v, ta & tb);
-            order.push(v);
-        } else {
-            stack.push((v, true));
-            if !tts.contains_key(&a.var()) {
-                stack.push((a.var(), false));
-            }
-            if !tts.contains_key(&b.var()) {
-                stack.push((b.var(), false));
-            }
-        }
-    }
-    (tts, order)
 }
 
 #[cfg(test)]

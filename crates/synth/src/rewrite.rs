@@ -6,15 +6,20 @@
 //! already exist — outside the node's MFFC — are free), and the node is
 //! replaced when the saving is positive. This is the reconstruction
 //! formulation of Mishchenko–Chatterjee–Brayton's DAG-aware rewriting.
+//!
+//! The per-cut loop allocates nothing: the cut function comes from the
+//! shared [`ConeEval`] as one word (its low 16 bits are the 4-variable
+//! table), the freed cone is marked in place by [`Mffc::cone_collect`], and
+//! the library structure is priced where it lives. Only the winning
+//! candidate's structure is copied into the plan.
 
 use crate::builder::sig_not;
-use crate::plan::{rebuild, Choice};
-use crate::rewrite_lib::npn_structure;
-use aig::cut::{cut_function, enumerate_cuts, CutParams};
-use aig::hash::FastSet;
+use crate::plan::{dry_run_cost, rebuild, Choice};
+use crate::rewrite_lib::{npn_structure, with_npn_structure};
+use aig::cut::{enumerate_cuts, ConeEval, CutParams};
 use aig::mffc::Mffc;
 use aig::npn::npn_canon_cached;
-use aig::{Aig, GateList, Lit, Var};
+use aig::{Aig, GateList, Lit};
 
 /// Parameters of the rewriting pass.
 #[derive(Clone, Copy, Debug)]
@@ -35,6 +40,15 @@ impl Default for RewriteParams {
     }
 }
 
+/// The best candidate of a node so far: its gain, the structure's leaves,
+/// and the library class it instantiates (with output complement).
+struct Candidate {
+    gain: i64,
+    leaves: [Lit; 4],
+    canon: u16,
+    out_compl: bool,
+}
+
 /// Rewrites the graph, returning a functionally equivalent one.
 pub fn rewrite(aig: &Aig, params: &RewriteParams) -> Aig {
     let cuts = enumerate_cuts(
@@ -45,6 +59,8 @@ pub fn rewrite(aig: &Aig, params: &RewriteParams) -> Aig {
         },
     );
     let mut mffc = Mffc::new(aig);
+    let mut eval = ConeEval::new(aig);
+    let mut sigs = Vec::new();
     let fanout = aig.fanout_counts();
     let mut choices: Vec<Choice> = vec![Choice::Copy; aig.num_nodes()];
 
@@ -52,89 +68,52 @@ pub fn rewrite(aig: &Aig, params: &RewriteParams) -> Aig {
         if fanout[v as usize] == 0 {
             continue; // dead logic disappears in the rebuild anyway
         }
-        let mut best: Option<(i64, Vec<Lit>, GateList)> = None;
+        let mut best: Option<Candidate> = None;
         for cut in &cuts[v as usize] {
             let nl = cut.size();
             if nl < 2 || cut.leaves() == [v] {
                 continue;
             }
             // Nodes that disappear if v is re-expressed over this cut.
-            let cone: Vec<Var> = mffc.cone_collect(aig, v, cut.leaves());
-            let cone_set: FastSet<Var> = cone.iter().copied().collect();
-            let f = cut_function(aig, v, cut.leaves());
-            let f4 = f.extend_to(4);
-            let (canon, tr) = npn_canon_cached(f4.to_u16());
-            let gl = npn_structure(canon);
+            let freed = mffc.cone_collect(aig, v, cut.leaves()).len();
+            let f = eval.eval(aig, v, cut.leaves())[0] as u16;
+            let (canon, tr) = npn_canon_cached(f);
             // Concrete leaves, padded to 4 with constant-false.
             let mut leaves4 = [Lit::FALSE; 4];
             for (i, &l) in cut.leaves().iter().enumerate() {
                 leaves4[i] = Lit::from_var(l, false);
             }
             let (w, out_compl) = tr.instantiate(&leaves4);
-            let cost = dry_run_cost(aig, &w, &gl, &cone_set);
-            let gain = cone.len() as i64 - cost as i64;
-            let better = match &best {
-                None => true,
-                Some((g, _, _)) => gain > *g,
-            };
-            if better {
-                let rooted = GateList {
-                    root: if out_compl { sig_not(gl.root) } else { gl.root },
-                    ..gl
-                };
-                best = Some((gain, w.to_vec(), rooted));
+            let cost = with_npn_structure(canon, |gl| dry_run_cost(aig, &w, gl, &mffc, &mut sigs));
+            let gain = freed as i64 - cost as i64;
+            if best.as_ref().is_none_or(|b| gain > b.gain) {
+                best = Some(Candidate {
+                    gain,
+                    leaves: w,
+                    canon,
+                    out_compl,
+                });
             }
         }
 
-        if let Some((gain, leaves, gl)) = best {
+        if let Some(best) = best {
             let threshold = if params.zero_gain { 0 } else { 1 };
-            if gain >= threshold {
-                choices[v as usize] = Choice::Structure { leaves, gl };
+            if best.gain >= threshold {
+                let gl = npn_structure(best.canon);
+                let root = if best.out_compl {
+                    sig_not(gl.root)
+                } else {
+                    gl.root
+                };
+                choices[v as usize] = Choice::Structure {
+                    leaves: best.leaves.to_vec(),
+                    gl: GateList { root, ..gl },
+                };
             }
         }
     }
 
     rebuild(aig, &choices)
-}
-
-/// Counts how many *new* AND gates instantiating `gl` over `leaves` would
-/// create, crediting structure gates that already exist in the graph
-/// (outside `excluded`, typically the MFFC being replaced).
-fn dry_run_cost(aig: &Aig, leaves: &[Lit], gl: &GateList, excluded: &FastSet<Var>) -> usize {
-    // Each signal is either a known old-graph literal or a new node.
-    let mut sigs: Vec<Option<Lit>> = leaves.iter().map(|&l| Some(l)).collect();
-    let decode = |sigs: &[Option<Lit>], s: u32| -> Option<Lit> {
-        match s {
-            GateList::FALSE => Some(Lit::FALSE),
-            GateList::TRUE => Some(Lit::TRUE),
-            _ => sigs[(s >> 1) as usize].map(|l| l.xor_compl(s & 1 != 0)),
-        }
-    };
-    let mut cost = 0usize;
-    for &(a, b) in &gl.gates {
-        let la = decode(&sigs, a);
-        let lb = decode(&sigs, b);
-        let out = match (la, lb) {
-            (Some(x), Some(y)) => match aig.find_and(x, y) {
-                Some(l) if l.is_const() => Some(l), // folded away: free
-                Some(l) if !excluded.contains(&l.var()) => Some(l),
-                Some(_) => {
-                    cost += 1;
-                    None
-                }
-                None => {
-                    cost += 1;
-                    None
-                }
-            },
-            _ => {
-                cost += 1;
-                None
-            }
-        };
-        sigs.push(out);
-    }
-    cost
 }
 
 #[cfg(test)]

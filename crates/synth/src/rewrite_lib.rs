@@ -3,26 +3,39 @@
 //! ABC ships a pre-computed table of optimal 4-input structures; we build
 //! ours lazily: the first time a canonical function is requested, a compact
 //! structure is synthesised with [`crate::factor::best_structure`] and
-//! cached process-wide. All 222 classes cost a few milliseconds total.
+//! memoised for the thread. All 222 classes cost a few milliseconds total.
+//! Lookups take no lock and copy nothing: rewriting prices every cut's
+//! candidate in place through [`with_npn_structure`] and copies only the
+//! winner.
 
 use aig::hash::FastMap;
 use aig::{GateList, Tt};
-use std::sync::{Mutex, OnceLock};
+use std::cell::RefCell;
 
-/// Returns a structure implementing the (NPN-canonical) 4-variable function
-/// `canon`. Results are memoised globally.
-pub fn npn_structure(canon: u16) -> GateList {
-    static CACHE: OnceLock<Mutex<FastMap<u16, GateList>>> = OnceLock::new();
-    let cache = CACHE.get_or_init(|| Mutex::new(FastMap::default()));
-    {
-        let guard = cache.lock().unwrap();
-        if let Some(gl) = guard.get(&canon) {
-            return gl.clone();
+thread_local! {
+    static LIBRARY: RefCell<FastMap<u16, GateList>> = RefCell::new(FastMap::default());
+}
+
+/// Runs `f` on a structure implementing the (NPN-canonical) 4-variable
+/// function `canon`. Structures are memoised per thread.
+///
+/// # Panics
+/// Panics if `f` itself asks for a structure that is not built yet (the
+/// library is borrowed while `f` runs).
+pub fn with_npn_structure<R>(canon: u16, f: impl FnOnce(&GateList) -> R) -> R {
+    LIBRARY.with(|lib| {
+        if !lib.borrow().contains_key(&canon) {
+            let gl = crate::factor::best_structure(&Tt::from_u16(canon));
+            lib.borrow_mut().insert(canon, gl);
         }
-    }
-    let gl = crate::factor::best_structure(&Tt::from_u16(canon));
-    cache.lock().unwrap().insert(canon, gl.clone());
-    gl
+        f(&lib.borrow()[&canon])
+    })
+}
+
+/// A copy of the structure implementing the (NPN-canonical) 4-variable
+/// function `canon`.
+pub fn npn_structure(canon: u16) -> GateList {
+    with_npn_structure(canon, GateList::clone)
 }
 
 #[cfg(test)]
